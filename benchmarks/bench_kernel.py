@@ -4,9 +4,9 @@ dynamics *trajectories* under the dense vs incremental distance
 backends (the engine of ``repro.graphs.incremental``).
 
 These are the quantities the hpc-parallel tuning was aimed at; the APSP
-via layered boolean matmul is the hot path of every experiment, and the
-trajectory benchmark records how much of it the incremental engine
-avoids re-doing.
+(``adjacency.all_pairs_distances_fast``) is the hot path of every
+experiment, and the trajectory benchmark records how much of it the
+incremental engine avoids re-doing.
 
 Run standalone (``python benchmarks/bench_kernel.py``) to emit the
 machine-readable ``BENCH_kernel.json`` baseline at the repo root —
@@ -53,7 +53,7 @@ def test_bfs_single_source_n100(benchmark, net100):
 
 
 def test_apsp_n100(benchmark, net100):
-    benchmark(adj.all_pairs_distances, net100.A)
+    benchmark(adj.all_pairs_distances_fast, net100.A)
 
 
 def test_apsp_without_vertex_n100(benchmark, net100):
@@ -201,7 +201,9 @@ def _best_of(fn, reps: int) -> float:
 
 
 def _kernel_micro(reps: int) -> dict:
-    """The kernel micro-benchmarks: reference, BLAS-layered, bit-packed."""
+    """The kernel micro-benchmarks: the boolean-matmul reference, the
+    reach-counting BLAS tier (kept under its old ``blas_layered`` key)
+    and the bit-packed tier, each forced at n = 100."""
     from repro.graphs import bitkernel
 
     net = random_budget_network(100, 3, seed=1)

@@ -6,8 +6,7 @@ Usage::
     PYTHONPATH=src python scripts/regen_golden.py [--check] [case ...]
 
 Runs every case in :data:`tests.golden.cases.CASES` (or only the named
-ones) on the *dense* backend — the equivalence oracle — and rewrites its
-fixture file.  ``--check`` instead verifies the committed fixtures match
+ones) on the *dense* backend and rewrites its fixture file.  ``--check`` instead verifies the committed fixtures match
 what the current code produces and exits non-zero on any diff, without
 writing anything.
 

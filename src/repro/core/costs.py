@@ -222,7 +222,7 @@ def _rule_by_name(name: str) -> EdgeCostRule:
 
 def distance_costs(net: Network, mode: DistanceMode) -> np.ndarray:
     """Distance-cost of every agent (vector of length ``n``)."""
-    D = adj.all_pairs_distances(net.A)
+    D = adj.all_pairs_distances_fast(net.A)
     if mode is DistanceMode.SUM:
         return D.sum(axis=1)
     return D.max(axis=1)

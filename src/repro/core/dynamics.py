@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from ..graphs import bitkernel
 from ..graphs.incremental import DistanceBackend, make_backend
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
@@ -54,8 +55,9 @@ __all__ = [
 ]
 
 #: below this many agents the incremental engine's bookkeeping (state
-#: hashing, snapshot diffs) costs more than just re-running tiny BFSes.
-AUTO_BACKEND_MIN_N = 32
+#: hashing, snapshot diffs) costs more than a full reach-counting APSP
+#: per query; the measured crossover sits at the bitkernel threshold.
+AUTO_BACKEND_MIN_N = bitkernel.MIN_N
 
 # run-level telemetry: one span + a handful of counter updates per run
 # (never per step), so the disabled-mode cost stays under the
@@ -254,9 +256,9 @@ def run_dynamics(
         distance engine: ``"incremental"`` maintains APSP and
         ``D(G - u)`` state across steps and memoises best responses per
         agent under the dirty-agent digest key; ``"dense"`` recomputes everything from
-        scratch each query (the equivalence oracle — both produce
-        bit-identical trajectories); ``"auto"`` (default) picks
-        incremental from ``AUTO_BACKEND_MIN_N`` agents upwards; or a
+        scratch each query (both produce bit-identical trajectories);
+        ``"auto"`` (default) picks incremental from
+        ``AUTO_BACKEND_MIN_N`` agents upwards; or a
         prebuilt :class:`~repro.graphs.incremental.DistanceBackend`.
     """
     if rng is not None and seed is not None:

@@ -276,7 +276,7 @@ class Game:
         if backend is not None:
             D = backend.full_distances(net)
         else:
-            D = adj.all_pairs_distances(net.A)
+            D = adj.all_pairs_distances_fast(net.A)
         if self.mode is DistanceMode.SUM:
             delta = D.sum(axis=1)
         else:

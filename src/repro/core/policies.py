@@ -347,7 +347,7 @@ class AdversarialPolicy(MovePolicy):
 
     This is the paper's adversarial scheduler as an activation model:
     the exact move sequence a proof traces (e.g.
-    ``PaperInstance.cycle_moves()``) is played back ``loop`` times
+    ``PaperInstance.moves()``) is played back ``loop`` times
     (``loop=None`` loops forever, so the run only stops via
     ``max_steps`` or cycle detection).
 

@@ -2,19 +2,31 @@
 
 This module is the performance substrate of the whole library.  All
 networks in the paper's experiments are small (n <= ~200), so a dense
-``uint8``/``bool`` adjacency matrix together with frontier-expansion BFS
-implemented as numpy boolean matrix products is by far the fastest
-representation available in pure Python: a full all-pairs-shortest-path
-(APSP) computation costs ``diameter`` many ``n x n`` boolean matmuls and
-no Python-level per-edge loop ever runs.
+``uint8``/``bool`` adjacency matrix with layered BFS run as numpy
+matrix products is by far the fastest representation available in pure
+Python: a full all-pairs-shortest-path (APSP) computation costs
+``diameter`` many ``n x n`` products and no Python-level per-edge loop
+ever runs.
 
-From ``bitkernel.MIN_N`` vertices upwards, the batched primitives
-(:func:`all_pairs_distances_fast`, :func:`bfs_distances_multi`,
-:func:`is_connected_without_vertex`) route to the word-parallel
-:mod:`.bitkernel` engine — packed ``uint64`` bitsets, 64 vertices (or
-searches) per word-op, bit-identical results.  The classic
-boolean-matmul :func:`all_pairs_distances` is never routed: it stays
-the reference oracle every other kernel is tested against.
+:func:`all_pairs_distances_fast` is the one production APSP; every
+distance query of the library (dense and incremental backends, the
+deviation evaluator, cost vectors, eccentricities, the instance and
+theory checkers) goes through it.  It has two tiers:
+
+* below ``bitkernel.MIN_N`` vertices, a float32 *reach-counting* kernel:
+  ``R_d`` (pairs within ``d`` hops) grows by one BLAS product per layer
+  and the distance of a pair is the number of layers it stays
+  unreached, so a layer costs four numpy calls;
+* from ``bitkernel.MIN_N`` upwards, the word-parallel
+  :mod:`.bitkernel` engine — packed ``uint64`` bitsets, 64 searches per
+  word-op.
+
+The multi-source :func:`bfs_distances_multi` and
+:func:`is_connected_without_vertex` route to :mod:`.bitkernel` on the
+same threshold.  All tiers are bit-identical.  The classic
+boolean-matmul :func:`all_pairs_distances` is never routed and no
+production code calls it: it is the reference oracle every other kernel
+is tested against.
 
 Conventions
 -----------
@@ -67,7 +79,7 @@ _APSP_TIER = obs_metrics.counter(
     ("tier",))
 _TIER_BITKERNEL = _APSP_TIER.labels(tier="bitkernel")
 _TIER_BLAS = _APSP_TIER.labels(tier="blas_layered")
-_TIER_MATMUL = _APSP_TIER.labels(tier="bool_matmul")
+_TIER_REACH = _APSP_TIER.labels(tier="reach_count")
 
 
 def validate_adjacency(A: np.ndarray) -> None:
@@ -217,16 +229,13 @@ def bfs_distances_multi(A: np.ndarray, sources: Sequence[int], mask: np.ndarray 
 
 
 def all_pairs_distances_fast(A: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """APSP via the fastest available layered expansion.
+    """All-pairs hop distances: the production APSP.
 
-    Bit-for-bit identical results to :func:`all_pairs_distances`.  From
-    ``bitkernel.MIN_N`` vertices upwards the word-parallel
+    Bit-for-bit identical results to the :func:`all_pairs_distances`
+    oracle.  From ``bitkernel.MIN_N`` vertices upwards the word-parallel
     :mod:`.bitkernel` engine runs the whole APSP as packed bitset ops
-    (64 searches per word-op); below that the layer products run as
-    float32 GEMMs — either way roughly an order of magnitude faster
-    than the boolean matmul at the paper's sizes.  The incremental
-    distance engine uses this as its rebuild primitive; the classic
-    boolean-matmul loop below stays the reference kernel.
+    (64 searches per word-op); below that the float32 reach-counting
+    kernel does (:func:`_reach_counting_distances`).
     """
     n = A.shape[0]
     if n == 0:
@@ -234,7 +243,46 @@ def all_pairs_distances_fast(A: np.ndarray, mask: np.ndarray | None = None) -> n
     if bitkernel.enabled_for(n):
         _TIER_BITKERNEL.inc()
         return bitkernel.all_pairs_distances(A, mask=mask)
-    return bfs_distances_multi(A, list(range(n)), mask=mask)
+    _TIER_REACH.inc()
+    return _reach_counting_distances(A, mask)
+
+
+def _reach_counting_distances(A: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """APSP by counting, per pair, the BFS layers it stays unreached.
+
+    With ``M = A + I`` restricted to the alive vertices, ``R_d =
+    min(M^d, 1)`` marks the pairs within ``d`` hops, ``R_{d+1} =
+    min(R_d @ M, 1)`` is one float32 GEMM, and the loop stops when the
+    reach count stops growing at layer ``L``.  A pair at distance ``k``
+    is marked in ``R_k..R_L`` (``R_0 = diag(mask)``), so ``D = (L + 1) -
+    sum_{d=0..L} R_d``; pairs never reached are ``inf``.  Every entry
+    stays ``<= n + 1 < 2^24``, so float32 is exact.
+    """
+    n = A.shape[0]
+    M = A.astype(np.float32)
+    np.fill_diagonal(M, 1.0)
+    alive = n
+    if mask is not None:
+        dead = ~mask
+        M[dead, :] = 0.0
+        M[:, dead] = 0.0
+        alive = int(np.count_nonzero(mask))
+    # acc = R_0 + R_1: the diagonal of an alive vertex is in both
+    acc = M.copy()
+    acc.flat[:: n + 1] *= 2.0
+    R, reached, top = M, int(np.count_nonzero(M)), 2.0
+    while reached < alive * alive:
+        R = R @ M
+        np.minimum(R, 1.0, out=R)
+        grown = int(np.count_nonzero(R))
+        if grown == reached:
+            break
+        acc += R
+        reached, top = grown, top + 1.0
+    D = np.subtract(top, acc, dtype=np.float64)
+    if reached < n * n:
+        D[R == 0.0] = np.inf
+    return D
 
 
 def all_pairs_distances(A: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
@@ -246,9 +294,10 @@ def all_pairs_distances(A: np.ndarray, mask: np.ndarray | None = None) -> np.nda
 
     The loop runs ``diameter(A)`` iterations; each iteration is a single
     ``(n, n) x (n, n)`` boolean product — no Python-level per-edge work.
+    This is the reference oracle the production kernels are tested
+    against; the library itself calls :func:`all_pairs_distances_fast`.
     """
     n = A.shape[0]
-    _TIER_MATMUL.inc()
     B = A.astype(bool, copy=True)
     if mask is not None:
         B[~mask, :] = False
@@ -282,7 +331,7 @@ def distances_without_vertex(A: np.ndarray, u: int) -> np.ndarray:
     """
     mask = np.ones(A.shape[0], dtype=bool)
     mask[u] = False
-    return all_pairs_distances(A, mask=mask)
+    return all_pairs_distances_fast(A, mask=mask)
 
 
 def connected_components(A: np.ndarray) -> List[np.ndarray]:
@@ -379,7 +428,7 @@ def is_bridge(A: np.ndarray, u: int, v: int) -> bool:
 
 def eccentricities(A: np.ndarray) -> np.ndarray:
     """Vector of vertex eccentricities (``inf`` if disconnected)."""
-    D = all_pairs_distances(A)
+    D = all_pairs_distances_fast(A)
     return D.max(axis=1)
 
 
@@ -388,4 +437,4 @@ def diameter(A: np.ndarray) -> float:
     n = A.shape[0]
     if n == 0:
         return 0.0
-    return float(all_pairs_distances(A).max())
+    return float(all_pairs_distances_fast(A).max())

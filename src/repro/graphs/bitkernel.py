@@ -2,8 +2,7 @@
 
 BFS state is packed into ``uint64`` words so that one bitwise AND/OR
 advances 64 breadth-first searches (or 64 vertices) at once, replacing
-the byte-per-vertex boolean matmuls / float32 GEMMs of
-:mod:`.adjacency`.
+the float32 GEMM layers of :mod:`.adjacency` on large graphs.
 
 Two packings are used:
 
@@ -25,14 +24,18 @@ Two packings are used:
   accumulated with one ``unpackbits`` + add per layer.
 
 Total APSP work is ``O(diam * m * n / 64)`` word-ops for ``m`` edges —
-on the paper's sparse dynamics graphs this overtakes the float32-GEMM
-layering (``O(diam * n^3)`` flops) from roughly ``n >= MIN_N`` and is an
-order of magnitude ahead by n ≈ 500.
+on the paper's sparse dynamics graphs this overtakes the float32
+reach-counting layers of :func:`adjacency.all_pairs_distances_fast`
+(``O(diam * n^3)`` flops) from roughly ``n >= MIN_N`` and is an order
+of magnitude ahead by n ≈ 500.
 
 Everything here returns *bit-identical* results to the dense kernels —
 all are exact unit-weight BFS — so the routing in :mod:`.adjacency` is a
-pure performance decision.  The classic boolean-matmul
-:func:`adjacency.all_pairs_distances` stays the reference oracle and is
+pure performance decision: :func:`adjacency.all_pairs_distances_fast`
+(the one production APSP), :func:`adjacency.bfs_distances_multi` and
+:func:`adjacency.is_connected_without_vertex` route here from
+``MIN_N`` vertices upwards.  The classic boolean-matmul
+:func:`adjacency.all_pairs_distances` is the reference oracle and is
 never routed here.
 """
 
@@ -58,8 +61,9 @@ __all__ = [
 ]
 
 #: below this many vertices the packing/CSR overhead outweighs the
-#: word-parallel win over the BLAS-layered kernel (measured in
-#: ``benchmarks/bench_kernel.py``).
+#: word-parallel win over the reach-counting BLAS kernel (per-call sweep
+#: in ``docs/architecture.md``).  ``"auto"`` dynamics switch from the
+#: dense to the incremental backend at the same size.
 MIN_N = 96
 
 #: tri-state test/benchmark override: ``None`` = size heuristic,

@@ -19,14 +19,15 @@ incident edge set:
 
 When the dirty row set exceeds ``dirty_threshold * n`` (e.g. a bridge
 deletion in a tree, which invalidates a constant fraction of all pairs)
-the repair is abandoned for the plain boolean-matmul APSP, so the
-incremental engine is never asymptotically worse than the dense one.
+the repair is abandoned for a full :func:`adjacency.all_pairs_distances_fast`
+rebuild, so the incremental engine is never asymptotically worse than
+the dense one.
 
 On top of the kernel sit the :class:`DistanceBackend` implementations
 the game/dynamics layers are parameterised over:
 
-* :class:`DenseBackend` — recompute-from-scratch, the equivalence
-  oracle;
+* :class:`DenseBackend` — a stateless full recompute per query, the
+  faster choice below ``bitkernel.MIN_N`` vertices;
 * :class:`IncrementalBackend` — a maintained full-graph matrix, one
   maintained ``D(G - u)`` matrix per evaluated agent (the
   ``D(G - u)`` factorization of ``best_response.py`` means that matrix
@@ -39,9 +40,10 @@ the game/dynamics layers are parameterised over:
   cycles!), repeated scans, and remote changes invisible to the agent
   all cost one dict lookup.
 
-The BFS/APSP primitives underneath route to the word-parallel
-:mod:`.bitkernel` from ``bitkernel.MIN_N`` vertices upwards (see
-:mod:`.adjacency`); everything stays bit-identical either way.
+Both backends compute every full APSP with
+:func:`adjacency.all_pairs_distances_fast` (reach-counting BLAS layers
+below ``bitkernel.MIN_N`` vertices, the word-parallel :mod:`.bitkernel`
+from there up); everything stays bit-identical either way.
 
 Memory: the incremental backend stores ``O(n^2)`` floats per evaluated
 agent (~14 MB at n = 120).  That is the right trade for the paper's
@@ -75,8 +77,9 @@ __all__ = [
 ]
 
 #: above this fraction of dirty rows, repairing costs more than redoing.
-#: (the multi-source repair BFS runs on BLAS layers, so it stays cheap up
-#: to half the rows; a full boolean-matmul APSP is ~20x a repair.)
+#: (the repair is a multi-source BFS over the dirty rows plus diffing
+#: against the old matrix, so past half the rows a full
+#: ``all_pairs_distances_fast`` rebuild is cheaper.)
 DEFAULT_DIRTY_THRESHOLD = 0.5
 
 # pre-bound obs handles: per-event cost is one attribute load + one
@@ -472,18 +475,20 @@ class DistanceBackend(Protocol):
 
 
 class DenseBackend:
-    """Recompute-from-scratch backend — the equivalence oracle.
+    """Recompute-from-scratch backend.
 
-    Every query runs a full boolean-matmul APSP, exactly like the code
-    before the incremental engine existed.  Stateless, so sharing one
-    instance across runs is always safe.
+    Every query runs one full :func:`adjacency.all_pairs_distances_fast`
+    (of ``G`` or ``G - u``) and nothing is kept between queries.  Below
+    ``bitkernel.MIN_N`` vertices that beats the incremental engine's
+    bookkeeping, which is why ``"auto"`` picks it there.  Stateless, so
+    sharing one instance across runs is always safe.
     """
 
     name = "dense"
 
     def full_distances(self, net) -> np.ndarray:
         _DENSE_FULL.inc()
-        return adj.all_pairs_distances(net.A)
+        return adj.all_pairs_distances_fast(net.A)
 
     def deviation_distances(self, net, u: int) -> np.ndarray:
         _DENSE_DEV.inc()

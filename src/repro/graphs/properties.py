@@ -109,7 +109,7 @@ def longest_paths_from(A: np.ndarray, v: int) -> List[List[int]]:
     we enumerate shortest paths to the farthest vertices.  (On general
     graphs we also return geodesics, which is the natural analogue.)
     """
-    D = adj.all_pairs_distances(A)
+    D = adj.all_pairs_distances_fast(A)
     dist_v = D[v]
     ecc = dist_v.max()
     if not np.isfinite(ecc):
@@ -156,7 +156,7 @@ def k_median_sets(A: np.ndarray, k: int, candidates: Sequence[int] | None = None
     fine for the instance sizes in the paper (n <= 24).
     """
     n = A.shape[0]
-    D = adj.all_pairs_distances(A)
+    D = adj.all_pairs_distances_fast(A)
     pool = range(n) if candidates is None else candidates
     best = np.inf
     best_sets: List[Tuple[int, ...]] = []
@@ -185,7 +185,7 @@ def two_median_sets(A: np.ndarray) -> List[Tuple[int, int]]:
 def k_center_vertices(A: np.ndarray, k: int = 1) -> Tuple[float, List[Tuple[int, ...]]]:
     """All optimal ``k``-centre sets (minimise max distance to the set)."""
     n = A.shape[0]
-    D = adj.all_pairs_distances(A)
+    D = adj.all_pairs_distances_fast(A)
     best = np.inf
     best_sets: List[Tuple[int, ...]] = []
     for S in combinations(range(n), k):

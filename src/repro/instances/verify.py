@@ -161,7 +161,7 @@ def _refinement_signature(A: np.ndarray, rounds: int = 3) -> List[Tuple]:
     """Per-vertex invariant: (degree, ecc, sorted neighbour signatures...)."""
     n = A.shape[0]
     deg = adj.degrees(A)
-    D = adj.all_pairs_distances(A)
+    D = adj.all_pairs_distances_fast(A)
     ecc = D.max(axis=1)
     sig = [(int(deg[v]), float(ecc[v])) for v in range(n)]
     for _ in range(rounds):

@@ -63,8 +63,8 @@ def potential_decreases(before: Network, after: Network, mode: str = "max") -> b
     """
     if DistanceMode(mode) is DistanceMode.MAX:
         return lex_less(sorted_cost_vector(after.A), sorted_cost_vector(before.A))
-    D0 = adj.all_pairs_distances(before.A)
-    D1 = adj.all_pairs_distances(after.A)
+    D0 = adj.all_pairs_distances_fast(before.A)
+    D1 = adj.all_pairs_distances_fast(after.A)
     return float(D1.sum()) < float(D0.sum()) - EPS
 
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.network import Network
+from repro.graphs import adjacency as adj
+from repro.graphs.incremental import DenseBackend
 
-__all__ = ["random_connected_adjacency", "network_from_adjacency"]
+__all__ = ["random_connected_adjacency", "network_from_adjacency", "OracleBackend"]
 
 
 def random_connected_adjacency(n: int, extra_edges: int, rng: np.random.Generator) -> np.ndarray:
@@ -44,3 +46,19 @@ def network_from_adjacency(A: np.ndarray, rng: np.random.Generator) -> Network:
         else:
             O[v, u] = True
     return Network(A.copy(), O)
+
+
+class OracleBackend(DenseBackend):
+    """A dense backend on the boolean-matmul oracle instead of the
+    production APSP: the reference the fast kernels' trajectories are
+    diffed against."""
+
+    name = "oracle"
+
+    def full_distances(self, net) -> np.ndarray:
+        return adj.all_pairs_distances(net.A)
+
+    def deviation_distances(self, net, u: int) -> np.ndarray:
+        mask = np.ones(net.n, dtype=bool)
+        mask[u] = False
+        return adj.all_pairs_distances(net.A, mask=mask)

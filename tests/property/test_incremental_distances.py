@@ -308,10 +308,13 @@ def test_batched_collector_matches_scalar_scored_moves(n, seed, mode, game_kind)
 @pytest.mark.parametrize("game_kind", ["asg", "gbg"])
 def test_trajectories_identical_across_all_three_kernels(game_kind):
     """dense / incremental / bitkernel-backed incremental must produce
-    bit-identical seeded runs — the word-parallel kernel is a pure
-    performance substrate, never a behaviour change."""
+    bit-identical seeded runs, all equal to a run priced on the
+    boolean-matmul oracle — the fast kernels are a pure performance
+    substrate, never a behaviour change."""
     from repro.graphs import bitkernel
     from repro.graphs.generators import random_budget_network, random_m_edge_network
+
+    from tests.helpers import OracleBackend
 
     n = 48
     if game_kind == "asg":
@@ -321,7 +324,11 @@ def test_trajectories_identical_across_all_three_kernels(game_kind):
         game = GreedyBuyGame("sum", alpha=n / 4.0)
         net = random_m_edge_network(n, 2 * n, seed=23)
 
-    runs = {}
+    runs = {
+        "oracle": run_dynamics(
+            game, net, MaxCostPolicy(), seed=23, max_steps=3 * n, backend=OracleBackend()
+        )
+    }
     with bitkernel.forced(False):
         runs["dense"] = run_dynamics(
             game, net, MaxCostPolicy(), seed=23, max_steps=3 * n, backend="dense"
@@ -336,7 +343,7 @@ def test_trajectories_identical_across_all_three_kernels(game_kind):
         runs["bitkernel-dense"] = run_dynamics(
             game, net, MaxCostPolicy(), seed=23, max_steps=3 * n, backend="dense"
         )
-    reference = runs["dense"]
+    reference = runs["oracle"]
     for name, run in runs.items():
         assert run.status == reference.status, name
         assert [(r.agent, r.move, r.cost_before, r.cost_after) for r in run.trajectory] == [
