@@ -255,8 +255,10 @@ def run_dynamics(
     backend:
         distance engine: ``"incremental"`` maintains APSP and
         ``D(G - u)`` state across steps and memoises best responses per
-        agent under the dirty-agent digest key; ``"dense"`` recomputes everything from
-        scratch each query (both produce bit-identical trajectories);
+        agent under a key hashed from the network (see
+        :class:`~repro.graphs.incremental.DeviationCache`); ``"dense"``
+        recomputes everything from scratch each query (both produce
+        bit-identical trajectories);
         ``"auto"`` (default) picks incremental from
         ``AUTO_BACKEND_MIN_N`` agents upwards; or a
         prebuilt :class:`~repro.graphs.incremental.DistanceBackend`.

@@ -19,10 +19,12 @@ All distance-dependent methods accept an optional ``backend`` — a
 APSP/deviation query is routed.  ``None`` (the default) recomputes
 densely, exactly as before the incremental engine existed; passing an
 :class:`~repro.graphs.incremental.IncrementalBackend` reuses distance
-state across calls and memoises whole best responses per agent, keyed
-by the dirty-agent digest of ``(D(G - u), u's incident ownership)`` for
+state across calls and memoises whole best responses per agent.  For
 games that declare ``local_best_response`` (see that attribute on
-:class:`Game`), and by the full canonical state otherwise.
+:class:`Game`) the key is the topology plus ``u``'s incident ownership
+rows, so a state revisited up to the owners of remote edges is served
+from cache; other games key on the full canonical state
+(:func:`repro.statespace.encode.state_key`).
 
 Tolerance: costs are sums of integers and multiples of ``alpha``; all
 strict comparisons use ``EPS = 1e-9``.
@@ -200,10 +202,11 @@ class Game:
     #: unilateral games (a shortest path from ``u`` never revisits
     #: ``u``, so ``D(G - u)`` prices every deviation, and the move set
     #: is determined by ``u``'s own edge rows) — this is what lets the
-    #: incremental backend key its deviation cache on a per-agent digest
-    #: instead of the full network state.  Games whose moves need other
-    #: agents' consent (bilateral) must leave this False; the base class
-    #: defaults to False so unknown subclasses are handled conservatively.
+    #: incremental backend key its deviation cache on the topology plus
+    #: ``u``'s rows instead of the full network state.  Games whose
+    #: moves need other agents' consent (bilateral) must leave this
+    #: False; the base class defaults to False so unknown subclasses are
+    #: handled conservatively.
     local_best_response: bool = False
 
     def __init__(

@@ -32,11 +32,11 @@ Implemented policies:
   move checked to be a best response (or at least improving).
 
 Every policy asks ``game.best_responses(net, u, backend=...)`` per
-scanned agent.  With an incremental backend those calls are memoised by
-the per-agent dirty-agent digest (see
-:mod:`repro.graphs.incremental`), so a scan re-prices only the agents
-whose ``D(G - u)`` or own edges actually changed since they were last
-evaluated — unaffected agents cost one dict lookup each.
+scanned agent.  With an incremental backend those calls are memoised
+per agent (see :class:`repro.graphs.incremental.DeviationCache`), so an
+agent re-queried with unchanged inputs — a repeated query in one step,
+or a best-response cycle's next lap — costs one hash and one dict
+lookup.
 """
 
 from __future__ import annotations
@@ -262,13 +262,14 @@ class GreedyImprovementPolicy(MovePolicy):
             rng.shuffle(candidates)
         for u in candidates:
             # unhappiness goes through best_responses, which the
-            # incremental backend memoises under the dirty-agent digest
-            # — happy agents cost one dict lookup.  The *selected*
-            # agent enumerates twice on a cache miss (best response +
-            # improving set, which BestResponse cannot supply: greedy
-            # wants all improving moves, not just the best ones); that
-            # is one extra enumeration per step, against n saved per
-            # scan in the revisit-heavy regimes the cache serves.
+            # incremental backend memoises per agent — on a revisited
+            # state happy agents cost one dict lookup.  The
+            # *selected* agent enumerates twice on a cache miss (best
+            # response + improving set, which BestResponse cannot
+            # supply: greedy wants all improving moves, not just the
+            # best ones); that is one extra enumeration per step,
+            # against n saved per scan in the revisit-heavy regimes the
+            # cache serves.
             if not game.is_unhappy(net, u, backend=backend):
                 continue
             improving = game.improving_moves(net, u, backend=backend)
@@ -332,7 +333,7 @@ class NoisyBestResponsePolicy(MovePolicy):
         candidates = list(range(net.n))
         rng.shuffle(candidates)
         for u in candidates:
-            # digest-memoised unhappiness check, as in the greedy policy
+            # memoised unhappiness check, as in the greedy policy
             if not game.is_unhappy(net, u, backend=backend):
                 continue
             improving = game.improving_moves(net, u, backend=backend)

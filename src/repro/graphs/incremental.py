@@ -32,13 +32,11 @@ the game/dynamics layers are parameterised over:
   maintained ``D(G - u)`` matrix per evaluated agent (the
   ``D(G - u)`` factorization of ``best_response.py`` means that matrix
   prices *every* deviation of ``u``), and a :class:`DeviationCache`
-  memoising whole best-response computations.  For local games the
-  cache key is the *dirty-agent digest* — the content digest of
-  ``(D(G - u), u's incident ownership rows)`` — so a lookup hits
-  whenever the agent's own world is unchanged, however different the
-  rest of the network looks: revisited states (better-response
-  cycles!), repeated scans, and remote changes invisible to the agent
-  all cost one dict lookup.
+  memoising whole best-response computations under a key hashed from
+  the network itself (see :class:`DeviationCache`) — so a revisited
+  state (a better-response cycle, lap after lap) or a repeated query
+  within one step costs one hash and one dict lookup, and no distance
+  work.
 
 Both backends compute every full APSP with
 :func:`adjacency.all_pairs_distances_fast` (reach-counting BLAS layers
@@ -51,8 +49,8 @@ instance sizes (n <= ~200); for much larger graphs cap the backend to
 ``dense`` or clear it periodically via :meth:`IncrementalBackend.reset`.
 
 Everything here works on plain adjacency matrices plus a duck-typed
-network object exposing ``.A`` and ``.state_key()`` — this module must
-not import :mod:`repro.core` (the core imports the graphs layer).
+network object exposing ``.A`` and ``.owner`` — this module must not
+import :mod:`repro.core` (the core imports the graphs layer).
 """
 
 from __future__ import annotations
@@ -63,6 +61,7 @@ from typing import Dict, Iterable, Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from ..obs import metrics as obs_metrics
+from ..statespace import encode
 from . import adjacency as adj
 
 __all__ = [
@@ -82,6 +81,10 @@ __all__ = [
 #: ``all_pairs_distances_fast`` rebuild is cheaper.)
 DEFAULT_DIRTY_THRESHOLD = 0.5
 
+#: most single-vertex groups a multi-vertex diff is repaired in before
+#: :class:`IncrementalAPSP` rebuilds from scratch instead.
+MAX_CENTERS = 4
+
 # pre-bound obs handles: per-event cost is one attribute load + one
 # enabled-branch + one dict update (nothing when the meter is off)
 _BACKEND_CALLS = obs_metrics.counter(
@@ -94,11 +97,10 @@ _INC_FULL = _BACKEND_CALLS.labels(backend="incremental", op="full")
 _INC_DEV = _BACKEND_CALLS.labels(backend="incremental", op="deviation")
 _CACHE_EVENTS = obs_metrics.counter(
     "repro_deviation_cache_events_total",
-    "DeviationCache hits, misses, invalidations and evictions",
+    "DeviationCache hits, misses and evictions",
     ("event",))
 _CACHE_HIT = _CACHE_EVENTS.labels(event="hit")
 _CACHE_MISS = _CACHE_EVENTS.labels(event="miss")
-_CACHE_INVALIDATION = _CACHE_EVENTS.labels(event="invalidation")
 _CACHE_EVICTION = _CACHE_EVENTS.labels(event="eviction")
 
 
@@ -189,38 +191,27 @@ class IncrementalAPSP:
 
     A diff spanning several vertices — an agent re-evaluated only after
     several other agents moved — is decomposed into single-vertex groups
-    and repaired sequentially, one group at a time, as long as the group
-    count stays below ``max_centers`` (default 4: with the bit-packed
-    APSP a full rebuild costs only a couple of single-center repairs, so
-    chasing a long move backlog loses to starting over).
+    and repaired sequentially, one group at a time, as long as there are
+    at most :data:`MAX_CENTERS` groups (with the bit-packed APSP a full
+    rebuild costs only a couple of single-center repairs, so chasing a
+    long move backlog loses to starting over).
 
     ``exclude`` pins a vertex as removed — this maintains the
     ``D(G - u)`` matrix of the deviation engine.  Changes incident only
     to the excluded vertex are invisible in ``G - u`` and cost nothing.
     """
 
-    def __init__(
-        self,
-        exclude: Optional[int] = None,
-        dirty_threshold: float = DEFAULT_DIRTY_THRESHOLD,
-        max_centers: Optional[int] = None,
-    ):
+    def __init__(self, exclude: Optional[int] = None):
         self.exclude = exclude
-        self.dirty_threshold = dirty_threshold
-        self.max_centers = max_centers
         self._A: Optional[np.ndarray] = None
         self._A_bytes: Optional[bytes] = None  # memcmp fast path for no-op diffs
         self._D: Optional[np.ndarray] = None
-        #: lazily computed content digest of ``_D`` (``None`` = stale)
-        self._digest: Optional[bytes] = None
         # instrumentation (read by tests and the kernel benchmark);
         # fallback_rebuilds counts repairs that hit the dirty-threshold
         # and degenerated into a full recompute mid-update
         self.full_rebuilds = 0
         self.incremental_updates = 0
         self.noop_hits = 0
-        self.clean_repairs = 0
-        self.digest_recomputes = 0
         self._update_stats: Dict[str, int] = {"fallback_rebuilds": 0}
 
     def _mask_for(self, n: int) -> Optional[np.ndarray]:
@@ -234,7 +225,6 @@ class IncrementalAPSP:
         self._D = adj.all_pairs_distances_fast(A, mask=self._mask_for(A.shape[0]))
         self._A = A.copy()
         self._A_bytes = self._A.tobytes()
-        self._digest = None
         self.full_rebuilds += 1
         return self._D
 
@@ -263,15 +253,14 @@ class IncrementalAPSP:
             self._A = A.copy()  # resync excluded-vertex edges
             self._A_bytes = self._A.tobytes()
             return self._D
-        limit = self.max_centers if self.max_centers is not None else 4
         # every group removes at most max-degree-in-diff edges, so
         # ceil(E / maxdeg) lower-bounds the group count — a backlog that
-        # cannot fit the limit skips the grouping work entirely
+        # cannot fit MAX_CENTERS groups skips the grouping work entirely
         maxdeg = int((np.bincount(iu, minlength=n) + np.bincount(iv, minlength=n)).max())
-        if iu.size > limit * maxdeg:
+        if iu.size > MAX_CENTERS * maxdeg:
             return self._rebuild(A)
-        groups = self._grouped_changes(iu, iv, n, stop_after=limit)
-        if len(groups) > limit:
+        groups = self._grouped_changes(iu, iv, n, stop_after=MAX_CENTERS)
+        if len(groups) > MAX_CENTERS:
             return self._rebuild(A)
         mask = self._mask_for(n)
         D = self._D
@@ -285,17 +274,9 @@ class IncrementalAPSP:
                 A_next[a, b] = A_next[b, a] = A[a, b]
             D = update_distances_after_vertex_change(
                 D, A_next, center, deleted=deleted, mask=mask,
-                dirty_threshold=self.dirty_threshold, stats=self._update_stats,
+                stats=self._update_stats,
             )
             A_cur = A_next
-        # a repair that left every distance untouched (e.g. a far-away
-        # redundant edge) keeps the content digest valid — this is what
-        # lets digest-keyed best-response caches survive remote moves
-        if self._digest is not None:
-            if np.array_equal(D, self._D):
-                self.clean_repairs += 1
-            else:
-                self._digest = None
         self._D = D
         self._A = A.copy()
         self._A_bytes = A_bytes if A_bytes is not None else self._A.tobytes()
@@ -326,32 +307,6 @@ class IncrementalAPSP:
             iu, iv = iu[out], iv[out]
         return groups
 
-    def digest(self) -> bytes:
-        """16-byte BLAKE2b content digest of the current distance matrix.
-
-        Computed lazily and invalidated only when a repair actually
-        changed some distance — a no-op diff or a distance-preserving
-        repair reuses the stored digest.  Two engines (for the same
-        ``exclude``) agree on the digest iff their matrices are equal,
-        so it is a sound cache key for anything that is a pure function
-        of the distances.
-        """
-        if self._D is None:
-            raise RuntimeError("digest() requires a distances() call first")
-        if self._digest is None:
-            # hop distances are exact integers <= n-1 (or inf), so a
-            # narrowing cast is injective and hashes far fewer bytes:
-            # below 255 vertices one byte per entry suffices, with 255
-            # standing in for inf (a real 255 cannot occur)
-            D = self._D
-            if D.shape[0] <= 254:
-                packed = np.minimum(D, 255.0).astype(np.uint8)
-            else:
-                packed = D.astype(np.float32)
-            self._digest = hashlib.blake2b(packed.tobytes(), digest_size=16).digest()
-            self.digest_recomputes += 1
-        return self._digest
-
     def stats(self) -> Dict[str, int]:
         """Counter snapshot: rebuilds / repairs / no-op cache hits."""
         return {
@@ -359,65 +314,51 @@ class IncrementalAPSP:
             "incremental_updates": self.incremental_updates,
             "fallback_rebuilds": self._update_stats["fallback_rebuilds"],
             "noop_hits": self.noop_hits,
-            "clean_repairs": self.clean_repairs,
-            "digest_recomputes": self.digest_recomputes,
         }
 
 
 class DeviationCache:
-    """Memoised best-response results keyed by ``(agent, key)``.
+    """Memoised best-response results keyed by ``(game_token, agent, key)``.
 
     The key is whatever pins *all* inputs of the best-response
-    computation.  :class:`IncrementalBackend` uses, per agent:
+    computation.  :class:`IncrementalBackend` uses, per agent ``u``:
 
-    * for **local** games (SG/ASG/GBG/BG) the dirty-agent key — the
-      content digest of ``D(G - u)`` plus ``u``'s incident ownership
-      rows.  A move by ``v`` invalidates exactly the agents whose
-      ``D(G - u)`` actually changed (the dirty region of the move) or
-      whose own edges were touched; every *unaffected* agent keeps its
-      key and is served from cache, so a policy scan recomputes
-      ``Θ(|dirty|)`` best responses instead of ``Θ(n)``.
-    * for non-local games the canonical full state key
-      (:meth:`repro.core.network.Network.state_key`), which pins the
-      entire ownership matrix and can only hit on exact state revisits.
+    * for **local** games (``game.local_best_response``: SG/ASG/GBG/BG)
+      a 16-byte BLAKE2b digest of the packed adjacency plus ``u``'s
+      packed incident ownership rows.  ``u``'s best response is a pure
+      function of ``D(G - u)`` and those rows, and ``D(G - u)`` pins
+      the topology of ``G - u`` (its distance-1
+      entries are exactly its edges), so this key hits exactly when the
+      agent's own inputs recur — on a best-response cycle's next lap,
+      and on states that differ only in who owns a remote edge (every
+      ownership variant the state-space explorer enumerates).
+    * for non-local games the canonical full state key, which can only
+      hit on exact state revisits.
 
     Either way a hit is only possible when the agent faces inputs
-    bit-identical to the ones it was last priced under, so staleness is
-    structurally impossible.  A ``game_token`` component keeps one
-    physical cache safe to share between differently-parameterised
-    games.
+    identical to the ones it was last priced under, so the cached answer
+    is exact by construction.  The two key families cannot collide: a
+    full state key is 16 bytes, a local key longer.  A ``game_token``
+    component keeps one physical cache safe to share between
+    differently-parameterised games.
     """
 
     def __init__(self, max_entries: int = 200_000):
         self.max_entries = max_entries
         self._table: Dict[tuple, object] = {}
-        self._last_key: Dict[tuple, bytes] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.invalidations = 0
 
     def __len__(self) -> int:
         return len(self._table)
 
     def get(self, game_token: tuple, agent: int, state_key: bytes):
-        """Cached best response, or ``None`` on a miss.
-
-        A miss where the *same* ``(game_token, agent)`` was previously
-        priced under a *different* key is an **invalidation**: the
-        agent's inputs changed and its old entry can never hit again.
-        An agent whose move was a no-op keeps its key, so a no-op
-        produces zero invalidations — the property the dirty-agent
-        hypothesis suite pins.
-        """
+        """Cached best response, or ``None`` on a miss."""
         hit = self._table.get((game_token, agent, state_key))
         if hit is None:
             self.misses += 1
             _CACHE_MISS.inc()
-            last = self._last_key.get((game_token, agent))
-            if last is not None and last != state_key:
-                self.invalidations += 1
-                _CACHE_INVALIDATION.inc()
         else:
             self.hits += 1
             _CACHE_HIT.inc()
@@ -432,21 +373,17 @@ class DeviationCache:
             self.evictions += 1
             _CACHE_EVICTION.inc()
         self._table[(game_token, agent, state_key)] = br
-        self._last_key[(game_token, agent)] = state_key
 
     def clear(self) -> None:
         self._table.clear()
-        self._last_key.clear()
 
     def stats(self) -> Dict[str, int]:
-        """Counter snapshot: hits / misses / size / evictions /
-        invalidations."""
+        """Counter snapshot: hits / misses / size / evictions."""
         return {
             "hits": self.hits,
             "misses": self.misses,
             "entries": len(self._table),
             "evictions": self.evictions,
-            "invalidations": self.invalidations,
         }
 
 
@@ -515,94 +452,51 @@ class IncrementalBackend:
     :class:`DeviationCache` short-circuits whole best-response
     computations on revisited states.  An instance is cheap to create;
     give each run its own (sharing is *correct* — everything is keyed or
-    diffed against exact state — but mixes instrumentation counters).
+    diffed against exact inputs — but mixes instrumentation counters).
     """
 
     name = "incremental"
 
-    def __init__(
-        self,
-        dirty_threshold: float = DEFAULT_DIRTY_THRESHOLD,
-        cache_best_responses: bool = True,
-        max_cache_entries: int = 200_000,
-    ):
-        self.dirty_threshold = dirty_threshold
-        self.cache_best_responses = cache_best_responses
-        self._full = IncrementalAPSP(dirty_threshold=dirty_threshold)
+    def __init__(self):
+        self._full = IncrementalAPSP()
         self._per_agent: Dict[int, IncrementalAPSP] = {}
-        self.cache = DeviationCache(max_entries=max_cache_entries)
-        self._pending_key: Optional[tuple] = None
+        self.cache = DeviationCache()
 
     def full_distances(self, net) -> np.ndarray:
         _INC_FULL.inc()
         return self._full.distances(net.A)
 
-    def _engine_for(self, u: int) -> IncrementalAPSP:
-        engine = self._per_agent.get(u)
-        if engine is None:
-            engine = self._per_agent[u] = IncrementalAPSP(
-                exclude=int(u), dirty_threshold=self.dirty_threshold
-            )
-        return engine
-
     def deviation_distances(self, net, u: int) -> np.ndarray:
         _INC_DEV.inc()
-        return self._engine_for(u).distances(net.A)
+        engine = self._per_agent.get(u)
+        if engine is None:
+            engine = self._per_agent[u] = IncrementalAPSP(exclude=int(u))
+        return engine.distances(net.A)
 
-    def _deviation_key(self, game, net, u: int) -> bytes:
-        """Cache key for ``u``'s best response in the current state.
-
-        For *local* games (``game.local_best_response``) the best
-        response is a pure function of ``(rules, D(G - u), u's incident
-        ownership rows)``, so the key is the per-agent digest of exactly
-        those inputs — any move anywhere that leaves them intact hits
-        the cache, however different the rest of the network looks.
-        Non-local games (bilateral consent) and duck-typed networks
-        without an ownership matrix fall back to the full canonical
-        state key, which can only hit on exact state revisits.
-
-        The two key families can never collide: a state key is ``n^2``
-        bytes, a digest key ``16 + 2n`` — equal only at non-integer n.
-        """
-        owner = getattr(net, "owner", None)
-        if owner is None or not getattr(game, "local_best_response", False):
-            return net.state_key()
-        engine = self._engine_for(u)
-        engine.distances(net.A)  # sync the D(G - u) matrix and digest
-        return (
-            engine.digest()
-            + owner[u].tobytes()
-            + np.ascontiguousarray(owner[:, u]).tobytes()
-        )
+    @staticmethod
+    def _cache_key(game, net, u: int) -> bytes:
+        """``u``'s :class:`DeviationCache` key in the current state."""
+        if not game.local_best_response:
+            return encode.state_key(net)
+        # the adjacency is symmetric, so packing all of it pins the
+        # topology as canonically as its upper triangle, without the
+        # triangle copy that dominates encode.state_key's topology key
+        A = net.A
+        topology = hashlib.blake2b(int(A.shape[0]).to_bytes(4, "little"), digest_size=16)
+        topology.update(np.packbits(A).tobytes())
+        rows = np.concatenate((net.owner[u], net.owner[:, u]))
+        return topology.digest() + np.packbits(rows).tobytes()
 
     def cached_best_response(self, game, net, u: int):
-        if not self.cache_best_responses:
-            return None
-        token = game.cache_token()
-        key = self._deviation_key(game, net, u)
-        # a miss is immediately followed by store_best_response for the
-        # same (game, net, u) with the network unchanged; remember the
-        # key so the store does not re-derive it
-        self._pending_key = (token, int(u), key)
-        return self.cache.get(token, int(u), key)
+        return self.cache.get(game.cache_token(), int(u), self._cache_key(game, net, u))
 
     def store_best_response(self, game, net, u: int, br) -> None:
-        if not self.cache_best_responses:
-            return
-        token = game.cache_token()
-        pending = self._pending_key
-        if pending is not None and pending[0] == token and pending[1] == int(u):
-            key = pending[2]
-        else:
-            key = self._deviation_key(game, net, u)
-        self._pending_key = None
-        self.cache.put(token, int(u), key, br)
+        self.cache.put(game.cache_token(), int(u), self._cache_key(game, net, u), br)
 
     def reset(self) -> None:
-        self._full = IncrementalAPSP(dirty_threshold=self.dirty_threshold)
+        self._full = IncrementalAPSP()
         self._per_agent.clear()
         self.cache.clear()
-        self._pending_key = None
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         agg: Dict[str, int] = {}

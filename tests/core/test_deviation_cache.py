@@ -1,18 +1,19 @@
-"""DeviationCache invalidation semantics.
+"""DeviationCache semantics.
 
-The cache memoises best responses by ``(game rules, agent, key)`` where,
-for local games, the key is the dirty-agent digest of
-``(D(G - u), u's incident ownership rows)``.  The regression risk is
+The cache memoises best responses by ``(game rules, agent, key)``.  For
+local games the key is the topology plus the agent's incident ownership
+rows — equivalent to ``(D(G - u), u's rows)``, the inputs of its best
+response; for other games it is the canonical
+:func:`repro.statespace.encode.state_key`.  The regression risk is
 *stale happiness*: an agent evaluated as happy being served that verdict
-after the network changed under it.  These tests pin the invalidation
-contract:
+after the network changed under it.  These tests pin the contract:
 
 * any move incident to the agent changes its ownership rows — re-priced;
-* any move elsewhere that changes ``D(G - u)`` changes the digest —
-  re-priced (the agent's options depend on all other agents' edges);
-* a state whose ``(D(G - u), own rows)`` content recurs (a
-  better-response cycle, or a remote change invisible to the agent) is
-  served from cache, and that answer is exact by construction.
+* any move elsewhere changes the topology — re-priced;
+* a remote ownership flip is served from cache for local games and
+  re-priced for the bilateral game;
+* a revisited state (a better-response cycle, lap after lap) is served
+  from cache, costs no distance work, and is exact by construction.
 """
 
 import numpy as np
@@ -20,11 +21,13 @@ import pytest
 
 from repro.core.costs import DistanceMode
 from repro.core.dynamics import run_dynamics
-from repro.core.games import AsymmetricSwapGame, GreedyBuyGame
+from repro.core.games import AsymmetricSwapGame, BilateralGame, GreedyBuyGame
 from repro.core.moves import Buy, Delete, Swap
 from repro.core.network import Network
-from repro.core.policies import ScriptedPolicy
+from repro.core.policies import AdversarialPolicy, ScriptedPolicy
 from repro.graphs.incremental import DeviationCache, IncrementalBackend, make_backend
+from repro.instances.figures import ALL_INSTANCES
+from repro.statespace.encode import state_key
 from tests.helpers import network_from_adjacency, random_connected_adjacency
 
 
@@ -40,7 +43,7 @@ class TestDeviationCacheUnit:
         cache.put(token, 0, b"s", "BR")
         assert cache.get(token, 0, b"s") == "BR"
         assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1,
-                                 "evictions": 0, "invalidations": 0}
+                                 "evictions": 0}
 
     def test_distinct_agents_states_and_games_do_not_collide(self):
         cache = DeviationCache()
@@ -147,37 +150,42 @@ class TestInvalidationSemantics:
 
 
 class TestDirtyAgentDigestKeys:
-    """The per-agent digest key: hits exactly when the agent's inputs
-    — ``D(G - u)`` and its own ownership rows — are unchanged."""
+    """The per-agent key of local games — a digest of the topology plus
+    ``u``'s ownership rows, which pin ``D(G - u)`` and ``u``'s edges —
+    hits exactly when the agent's inputs are unchanged; non-local games
+    key on the full state."""
 
-    def test_remote_ownership_flip_is_invisible_to_unaffected_agent(self):
+    @pytest.mark.parametrize("make_game, reused", [
+        (lambda: AsymmetricSwapGame("sum"), True),
+        (lambda: BilateralGame("sum", alpha=1.0), False),
+    ], ids=["asg", "bilateral"])
+    def test_remote_ownership_flip(self, make_game, reused):
         """Flipping who owns a far-away edge leaves topology, D(G-u) and
-        u's rows intact: the full state key changes, the digest key does
-        not — the cached answer is served and matches the dense oracle."""
+        u's rows intact: a local game serves the cached answer, the
+        bilateral game (whose consent check reads the whole network)
+        re-prices — and either answer matches the dense oracle."""
         net = Network.from_owned_edges(
             6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
         )
-        game = AsymmetricSwapGame("sum")
+        game = make_game()
         backend = IncrementalBackend()
         u = 0
         first = game.best_responses(net, u, backend=backend)
-        old_state_key = net.state_key()
         # hand ownership of {3,4} to 4 — same topology, different state
         net.owner[3, 4] = False
         net.owner[4, 3] = True
-        assert net.state_key() != old_state_key
-        hits_before = backend.cache.hits
         again = game.best_responses(net, u, backend=backend)
-        assert backend.cache.hits == hits_before + 1
-        assert again is first
+        assert backend.cache.hits == int(reused)
+        assert backend.cache.misses == 2 - int(reused)
+        assert (again is first) == reused
         oracle = game.best_responses(net, u)
         assert (again.cost_before, again.best_cost, again.moves) == (
             oracle.cost_before, oracle.best_cost, oracle.moves,
         )
 
     def test_distance_changing_move_elsewhere_invalidates(self):
-        """A remote topology change always perturbs D(G-u) (the moved
-        pair's own distance changes), so the digest misses."""
+        """A remote topology change always perturbs the key, so the
+        lookup misses."""
         net = Network.from_owned_edges(
             6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
         )
@@ -192,36 +200,60 @@ class TestDirtyAgentDigestKeys:
         oracle = game.best_responses(net, u)
         assert (got.best_cost, got.moves) == (oracle.best_cost, oracle.moves)
 
-    def test_non_local_game_uses_full_state_key(self):
-        """Games without local best responses must fall back to exact
-        state-key caching (the bilateral consent check reads the whole
-        network)."""
-        from repro.core.games import BilateralGame, Game
-
-        assert not Game.local_best_response
-        assert not BilateralGame.local_best_response
-        net = Network.from_owned_edges(4, [(0, 1), (1, 2), (2, 3)])
-        game = BilateralGame("sum", alpha=1.0)
-        backend = IncrementalBackend()
-        first = game.best_responses(net, 0, backend=backend)
-        # remote ownership flip: state key changes -> no reuse for
-        # non-local games even though D(G-0) is unchanged
-        net.owner[2, 3] = False
-        net.owner[3, 2] = True
-        hits = backend.cache.hits
-        again = game.best_responses(net, 0, backend=backend)
-        assert backend.cache.hits == hits
-        assert again is not first
-
-    def test_digest_reused_across_noop_queries(self):
-        net = Network.from_owned_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    def test_hit_costs_no_distance_work(self):
+        """Leave a state and come back: the re-query of ``u`` hits and
+        touches no distance engine — ``u``'s ``D(G - u)`` engine is not
+        even synced to the revisited adjacency."""
+        net = Network.from_owned_edges(
+            6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
+        )
         game = AsymmetricSwapGame("sum")
         backend = IncrementalBackend()
-        for _ in range(3):
-            game.best_responses(net, 1, backend=backend)
-        engine = backend._per_agent[1]
-        assert engine.digest_recomputes == 1
-        assert backend.cache.hits == 2
+        u = 0
+        first = game.best_responses(net, u, backend=backend)
+        move = Swap(3, 4, 5)
+        move.apply(net)
+        game.best_responses(net, u, backend=backend)  # a miss: repairs
+        move.inverse(net).apply(net)
+        engine_before = backend._per_agent[u].stats()
+        stats_before = backend.stats()
+        again = game.best_responses(net, u, backend=backend)
+        assert again is first
+        assert backend.cache.hits == 1
+        engine_after = backend._per_agent[u].stats()
+        for key in ("full_rebuilds", "incremental_updates", "noop_hits"):
+            assert engine_after[key] == engine_before[key]
+        assert backend.stats()["full_graph"] == stats_before["full_graph"]
+
+
+class TestCycleReplay:
+    """The paper's best-response cycles replayed on the incremental
+    backend: every lap after the first is served entirely from cache."""
+
+    LAPS = 5
+
+    # fig2 is a Swap Game cycle whose swaps hand each new edge to the
+    # swapper, so the drawn start differs from every later lap in the
+    # swappers' own ownership rows (part of the local cache key); two
+    # scheduled moves in, the state cycles exactly
+    @pytest.mark.parametrize("fig, shift", [("fig3", 0), ("fig2", 2)])
+    def test_laps_after_the_first_are_all_hits(self, fig, shift):
+        inst = ALL_INSTANCES[fig]()
+        moves = inst.moves()
+        start = inst.network.copy()
+        for _, move in moves[:shift]:
+            move.apply(start)
+        schedule = moves[shift:] + moves[:shift]
+        policy = AdversarialPolicy(schedule, loop=self.LAPS, require_best_response=True)
+        result = run_dynamics(
+            inst.game, start, policy, seed=0,
+            max_steps=self.LAPS * len(schedule) + 1, backend=IncrementalBackend(),
+        )
+        cache = result.backend_stats["cache"]
+        assert result.steps == self.LAPS * len(schedule)
+        assert cache["hits"] == result.steps - len(schedule)
+        assert cache["misses"] == len(schedule)
+        assert state_key(result.final) == state_key(start)
 
 
 class TestDynamicsLevelInvalidation:
