@@ -100,7 +100,7 @@ def bench_compact(root) -> dict:
     """Compact SYNTH_ROWS rows into the pure-python chunk layout."""
     store = _synthetic_store(root)
     t0 = time.perf_counter()
-    summary = compact_store(store, use_parquet=False)
+    summary = compact_store(store)
     seconds = time.perf_counter() - t0
     assert summary["rows"] == SYNTH_ROWS, summary["rows"]
     counts = ColumnarStore(root).cells_done(SYNTH_ROWS // SYNTH_CELLS)
@@ -112,7 +112,7 @@ def bench_compact(root) -> dict:
 def bench_columnar_scan(root) -> dict:
     """Stream every compacted row back out (the aggregate read path)."""
     store = _synthetic_store(root)
-    compact_store(store, use_parquet=False, prune=True)
+    compact_store(store, prune=True)
     columnar = ColumnarStore(root)
     t0 = time.perf_counter()
     rows = sum(1 for _ in columnar.iter_rows())

@@ -23,7 +23,7 @@ import tempfile
 import time
 from typing import Optional
 
-from repro.experiments.campaign import encode_record_line
+from repro.durable import encode_line
 from repro.service import QuotaPolicy, ServiceConfig, ServiceThread
 from repro.service.jobs import JobManager
 from repro.service.protocol import (
@@ -168,8 +168,8 @@ def bench_stream_replay(root) -> dict:
     job = manager.submit({**PAYLOAD, "trials": REPLAY_RECORDS}, client="bench")
     store = manager.store_dir(job.id)
     store.mkdir(parents=True)
-    lines = [encode_record_line({"cell": "bench-n8", "trial": i,
-                                 "steps": i % 40, "status": "converged"})
+    lines = [encode_line({"cell": "bench-n8", "trial": i,
+                          "steps": i % 40, "status": "converged"})
              for i in range(REPLAY_RECORDS)]
     (store / "trials-0of1.jsonl").write_text("".join(l + "\n" for l in lines))
     job.state = "done"

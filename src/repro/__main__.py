@@ -32,12 +32,12 @@ Commands
     count, total, mean, and max wall time per span name.
 ``compact RESULTS_DIR [--prune] [--status]``
     Fold a store's JSONL records into the columnar analytics layout
-    (parquet when pyarrow is available, a pure-python column-chunk
-    format otherwise) so status and aggregation stop re-parsing JSONL.
-``fsck RESULTS_DIR [--repair]``
-    Verify the per-record checksums of a store's JSONL files and report
-    exactly the damaged lines; ``--repair`` quarantines them under
-    ``<root>/corrupt/`` and rewrites the record files clean.
+    (JSON column chunks) so status and aggregation stop re-parsing JSONL.
+``fsck RESULTS_DIR|TRACE.jsonl [--repair]``
+    Verify the per-line checksums of a store's JSONL files (or of one
+    trace file) and report exactly the damaged lines; ``--repair``
+    quarantines them under ``corrupt/`` next to the files and rewrites
+    the files clean.
 ``classify [figures...]``
     Exhaustive reachable-dynamics classification of instance states.
 ``explore --game sg --n 4 [--moves best] [--policy all] [--shard i/k]``
@@ -611,20 +611,29 @@ def cmd_compact(args) -> int:
 
 
 def cmd_fsck(args) -> int:
-    """``repro fsck``: verify per-record checksums in a store's JSONL files."""
+    """``repro fsck``: verify per-line checksums of a store or a trace."""
+    from pathlib import Path
+
+    from .durable import CORRUPT_DIRNAME
     from .experiments.campaign import CampaignStore
+    from .obs.tracing import fsck_trace
     from .statespace.store import ExplorationStore
 
-    store = CampaignStore(args.root)
-    manifest = store.load_manifest()
-    if manifest is None:
-        print(f"no store manifest under {args.root}")
-        return 1
-    if manifest.get("kind") == "statespace":
-        store = ExplorationStore(args.root)
+    if Path(args.root).is_file():
+        report = fsck_trace(args.root, repair=args.repair)
+        corrupt_dir = Path(args.root).parent / CORRUPT_DIRNAME
+    else:
+        store = CampaignStore(args.root)
+        manifest = store.load_manifest()
+        if manifest is None:
+            print(f"no store manifest under {args.root}")
+            return 1
+        if manifest.get("kind") == "statespace":
+            store = ExplorationStore(args.root)
+        report = store.fsck(repair=args.repair)
+        corrupt_dir = store.corrupt_dir()
 
-    report = store.fsck(repair=args.repair)
-    print(f"{args.root}: scanned {len(report['files'])} record files — "
+    print(f"{args.root}: scanned {len(report['files'])} files — "
           f"{report['records_ok']} records ok"
           + (f", {report['foreign']} foreign rows tolerated"
              if report["foreign"] else ""))
@@ -636,10 +645,10 @@ def cmd_fsck(args) -> int:
         print(f"  {item['file']}:{item['line']}: {item['reason']}")
     if args.repair:
         print(f"quarantined {report['repaired']} lines under "
-              f"{store.corrupt_dir()} and rewrote the files clean")
+              f"{corrupt_dir} and rewrote the files clean")
         return 0
     print("(rerun with --repair to quarantine the damaged lines under "
-          f"{store.corrupt_dir()})")
+          f"{corrupt_dir})")
     return 1
 
 
@@ -964,11 +973,12 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "fsck",
-        help="verify per-record checksums; --repair quarantines damage")
-    p.add_argument("root", help="store directory (e.g. results/fig7-seed0)")
+        help="verify per-line checksums; --repair quarantines damage")
+    p.add_argument("root", help="store directory (e.g. results/fig7-seed0) "
+                                "or trace file (what REPRO_TRACE pointed at)")
     p.add_argument("--repair", action="store_true",
-                   help="move damaged lines to <root>/corrupt/ and rewrite "
-                        "the record files clean")
+                   help="move damaged lines to corrupt/ next to the files "
+                        "and rewrite the files clean")
     p.set_defaults(func=cmd_fsck)
 
     p = sub.add_parser("classify", help="reachable-dynamics classification")

@@ -34,13 +34,12 @@ Store layout (one directory per campaign)::
 from __future__ import annotations
 
 import json
-import os
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .. import durable
 from ..analysis.stats import ConvergenceStats
 from ..testing.faults import resolve_fs
 from .config import CellConfig, ExperimentConfig, FigureSpec
@@ -63,60 +62,9 @@ __all__ = [
     "aggregate_records",
     "aggregate_payload",
     "metric_payloads",
-    "encode_record_line",
-    "decode_record_line",
-    "CRC_KEY",
 ]
 
 STORE_VERSION = 1
-
-#: JSON key carrying the per-line CRC32 checksum (sorts before every
-#: record key, so checksummed lines visibly lead with their check).
-CRC_KEY = "_crc"
-
-#: quarantine directory name for damaged lines (see :meth:`CampaignStore.fsck`).
-CORRUPT_DIRNAME = "corrupt"
-
-
-def _record_crc(record: dict) -> str:
-    """CRC32 (hex) of the record's canonical JSON body, ``_crc`` excluded."""
-    body = json.dumps(record, sort_keys=True)
-    return f"{zlib.crc32(body.encode('utf-8')) & 0xFFFFFFFF:08x}"
-
-
-def encode_record_line(record: dict) -> str:
-    """One store line: the record plus its CRC32, canonical JSON, no newline.
-
-    The checksum covers the canonical (sorted-keys) serialization of
-    the record *without* the ``_crc`` key, so any reader can strip the
-    key, re-serialize, and verify.
-    """
-    return json.dumps({CRC_KEY: _record_crc(record), **record}, sort_keys=True)
-
-
-def decode_record_line(line: str):
-    """``(record, reason)`` for one raw store line.
-
-    ``record`` is the parsed dict with ``_crc`` stripped, or ``None``
-    when the line is damaged; ``reason`` is ``None`` for good lines,
-    else ``"unparsable"`` (torn/garbage JSON) or ``"checksum"`` (parses
-    but the stored CRC disagrees with the body — single-bit rot, a
-    spliced line, or a hand-edit).  Lines written before the checksum
-    era carry no ``_crc`` and are accepted as-is: the format is
-    backward compatible, and ``repro fsck`` reports only provable
-    damage.
-    """
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError:
-        return None, "unparsable"
-    if not isinstance(rec, dict):
-        return None, "unparsable"
-    if CRC_KEY in rec:
-        stored = rec.pop(CRC_KEY)
-        if stored != _record_crc(rec):
-            return None, "checksum"
-    return rec, None
 
 
 class CampaignMismatch(RuntimeError):
@@ -249,13 +197,12 @@ class CampaignStore:
                 )
             return
         self.root.mkdir(parents=True, exist_ok=True)
-        # per-process tmp name: concurrently-launched shards may all
-        # reach this branch, and a shared tmp path would let one racer
-        # os.replace() the other's file away mid-write.  Each writes an
-        # identical manifest, so whichever replace lands last wins.
-        tmp = self.manifest_path().with_name(f".manifest-{os.getpid()}.tmp")
-        self.fs.write_text(tmp, json.dumps(manifest, indent=2, sort_keys=True))
-        self.fs.replace(tmp, self.manifest_path())
+        # concurrently-launched shards may all reach this branch; each
+        # writes an identical manifest, so whichever replace lands last wins
+        durable.write_atomic(
+            self.manifest_path(), json.dumps(manifest, indent=2, sort_keys=True),
+            self.fs,
+        )
 
     # -- trial records -----------------------------------------------------
     def record_files(self) -> List[Path]:
@@ -284,16 +231,9 @@ class CampaignStore:
         reads only the files its compaction does not cover).
         """
         for path in self.record_files() if files is None else files:
-            with open(path, "r") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    rec, damage = decode_record_line(line)
-                    if damage is not None:
-                        continue
-                    if self.REQUIRED_KEYS <= rec.keys():
-                        yield rec
+            for _, _, rec, damage in durable.scan(path, require_crc=False):
+                if damage is None and self.REQUIRED_KEYS <= rec.keys():
+                    yield rec
 
     def load_records(self) -> List[dict]:
         """All well-formed trial records, materialized (see :meth:`iter_records`)."""
@@ -334,36 +274,22 @@ class CampaignStore:
         ``tag`` is any filesystem-safe suffix — shard runs use
         ``iofk``, fabric workers their worker id — and every such file
         is picked up by :meth:`record_files` regardless of spelling.
-
-        If a previous process died mid-append the file ends in a torn
-        half-line; appending straight after it would weld the next
-        record onto the garbage and lose it too.  A newline is stitched
-        in first so the torn fragment stays an isolated bad line (which
-        :meth:`load_records` skips) and every new record starts clean.
+        A torn tail left by a dead writer is stitched over first (see
+        :func:`repro.durable.open_append`), so the torn fragment stays
+        one isolated bad line that :meth:`iter_records` skips.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.root / f"{self.RECORD_PREFIX}-{tag}.jsonl"
-        fh = open(path, "a+b")
-        try:
-            fh.seek(0, os.SEEK_END)
-            if fh.tell() > 0:
-                fh.seek(-1, os.SEEK_END)
-                if fh.read(1) != b"\n":
-                    fh.write(b"\n")
-        except OSError:
-            fh.close()
-            raise
-        fh.close()
-        return open(path, "a")
+        return durable.open_append(
+            self.root / f"{self.RECORD_PREFIX}-{tag}.jsonl", self.fs
+        )
 
     def append(self, fh, record: dict) -> None:
         """Write one record as a single flushed, checksummed JSON line."""
-        self.fs.append_text(fh, encode_record_line(record) + "\n")
+        self.fs.append_text(fh, durable.encode_line(record) + "\n")
 
     # -- integrity ---------------------------------------------------------
     def corrupt_dir(self) -> Path:
         """Quarantine directory for damaged lines (``<root>/corrupt/``)."""
-        return self.root / CORRUPT_DIRNAME
+        return self.root / durable.CORRUPT_DIRNAME
 
     def fsck(self, repair: bool = False) -> dict:
         """Verify every record line; optionally quarantine the damage.
@@ -388,35 +314,13 @@ class CampaignStore:
         foreign = 0
         files = self.record_files()
         for path in files:
-            keep: List[str] = []
-            bad: List[str] = []
-            with open(path, "r") as fh:
-                for line_no, raw in enumerate(fh, start=1):
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    rec, damage = decode_record_line(line)
-                    if damage is not None:
-                        damaged.append(
-                            {"file": path.name, "line": line_no, "reason": damage}
-                        )
-                        bad.append(line)
-                        continue
-                    if self.REQUIRED_KEYS <= rec.keys():
-                        records_ok += 1
-                    else:
-                        foreign += 1
-                    keep.append(line)
-            if repair and bad:
-                self.corrupt_dir().mkdir(parents=True, exist_ok=True)
-                with open(self.corrupt_dir() / f"{path.name}.bad", "a") as qh:
-                    for line in bad:
-                        self.fs.append_text(qh, line + "\n")
-                tmp = path.with_name(f".{path.name}.fsck-{os.getpid()}.tmp")
-                self.fs.write_text(
-                    tmp, "".join(line + "\n" for line in keep)
-                )
-                self.fs.replace(tmp, path)
+            records, bad = durable.fsck_file(
+                path, require_crc=False, repair=repair, fs=self.fs
+            )
+            damaged.extend(bad)
+            ok = sum(1 for rec in records if self.REQUIRED_KEYS <= rec.keys())
+            records_ok += ok
+            foreign += len(records) - ok
         return {
             "files": [p.name for p in files],
             "records_ok": records_ok,

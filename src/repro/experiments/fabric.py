@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import signal
 import threading
 import time
@@ -81,6 +80,7 @@ from collections import deque
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+from .. import durable
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..testing.faults import resolve_fs
@@ -223,9 +223,7 @@ class WorkQueue:
             d.mkdir(parents=True, exist_ok=True)
 
     def _write(self, path: Path, unit: dict) -> None:
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        self.fs.write_text(tmp, json.dumps(unit, sort_keys=True))
-        self.fs.replace(tmp, path)
+        durable.write_atomic(path, json.dumps(unit, sort_keys=True), self.fs)
 
     @staticmethod
     def _read(path: Path) -> Optional[dict]:

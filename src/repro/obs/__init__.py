@@ -1,9 +1,9 @@
 """repro.obs — unified telemetry: metrics registry + tracing spans.
 
-Stdlib-only and dependency-free within the package (imports nothing
-from the rest of :mod:`repro`), so any layer — graph kernels, the
-statespace explorer, the campaign fabric, the asyncio service — can
-instrument itself without import cycles.
+Stdlib-only, and imports nothing from the rest of :mod:`repro` but
+:mod:`repro.durable` and the filesystem seam under it, so any layer —
+graph kernels, the statespace explorer, the campaign fabric, the
+asyncio service — can instrument itself without import cycles.
 
 Two primitives:
 
@@ -40,8 +40,7 @@ from .tracing import (
     Tracer,
     configure,
     current_tracer,
-    decode_trace_line,
-    encode_trace_line,
+    fsck_trace,
     iter_trace,
     span,
     summarize_trace,
@@ -59,10 +58,9 @@ __all__ = [
     "configure",
     "counter",
     "current_tracer",
-    "decode_trace_line",
     "diff_snapshots",
-    "encode_trace_line",
     "encode_prometheus",
+    "fsck_trace",
     "gauge",
     "histogram",
     "iter_trace",

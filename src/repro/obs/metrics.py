@@ -25,9 +25,9 @@ Design constraints, in order:
    service serves it on ``GET /metrics``, and ``repro top`` renders the
    same snapshots as a console table.
 
-The module is stdlib-only and imports nothing from :mod:`repro`, so
-every layer (graphs kernels included) may instrument itself without
-import cycles.
+The module is stdlib-only and imports nothing from :mod:`repro` but
+:mod:`repro.durable` and the filesystem seam under it, so every layer
+(graphs kernels included) may instrument itself without import cycles.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ import json
 import os
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Tuple
+
+from .. import durable
+from ..testing.faults import resolve_fs
 
 __all__ = [
     "CONTENT_TYPE",
@@ -373,17 +376,15 @@ def diff_snapshots(after: dict, before: dict) -> dict:
 
 
 def write_snapshot_file(path, meter: Optional[Meter] = None,
-                        snapshot: Optional[dict] = None) -> None:
+                        snapshot: Optional[dict] = None, fs=None) -> None:
     """Atomically persist a meter snapshot (tmp + replace) for a
     coordinator / the ``/metrics`` endpoint to drain later.  Pass
-    ``snapshot`` to persist a precomputed (e.g. diffed) snapshot."""
+    ``snapshot`` to persist a precomputed (e.g. diffed) snapshot;
+    ``fs`` is the filesystem seam (see :mod:`repro.testing.faults`)."""
     snap = (meter or DEFAULT).snapshot() if snapshot is None else snapshot
-    path = os.fspath(path)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(snap, fh, sort_keys=True)
-    os.replace(tmp, path)
+    os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
+    durable.write_atomic(path, json.dumps(snap, sort_keys=True),
+                         resolve_fs(fs))
 
 
 def read_snapshot_file(path) -> dict:

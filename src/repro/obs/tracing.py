@@ -1,10 +1,11 @@
 """Nestable tracing spans emitting checksummed JSONL events.
 
 ``span("name", key=value)`` is a context manager.  Enabled, it times
-the block and appends one JSON line per span on exit — CRC-stamped and
-torn-tail-stitched with exactly the discipline of the campaign stores
-(PR 7), so a trace file survives a SIGKILL mid-write and a reader can
-always separate a torn line from corruption.  Disabled, ``span()``
+the block and appends one JSON line per span on exit — a checksummed
+log line of :mod:`repro.durable`, like a campaign record, so a trace
+file survives a SIGKILL mid-write and a reader can always separate a
+torn line from corruption.  Unlike record stores, a trace line without
+a checksum is damage, never a legacy line.  Disabled, ``span()``
 returns a shared no-op singleton: the fast path is one global load and
 one branch, nothing allocated, which is what lets tracing hooks live
 permanently in ``run_dynamics`` and the fabric workers.
@@ -18,10 +19,6 @@ rate.  :func:`configure` also writes those variables back into
 ``os.environ`` so fabric / service worker subprocesses inherit the
 same trace destination (each process appends with its own pid in every
 event; lines are whole, so concurrent appends interleave cleanly).
-
-Stdlib-only; reimplements the CRC line codec rather than importing
-:mod:`repro.experiments.campaign` (that would cycle back through the
-runner into :mod:`repro.core`).
 """
 
 from __future__ import annotations
@@ -31,18 +28,18 @@ import os
 import random
 import threading
 import time
-import zlib
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
+
+from .. import durable
+from ..testing.faults import resolve_fs
 
 __all__ = [
-    "CRC_KEY",
     "ENV_SAMPLE",
     "ENV_TRACE",
     "Tracer",
     "configure",
     "current_tracer",
-    "decode_trace_line",
-    "encode_trace_line",
+    "fsck_trace",
     "iter_trace",
     "span",
     "summarize_trace",
@@ -50,37 +47,6 @@ __all__ = [
 
 ENV_TRACE = "REPRO_TRACE"
 ENV_SAMPLE = "REPRO_TRACE_SAMPLE"
-
-#: checksum field name — same convention as the campaign stores
-CRC_KEY = "_crc"
-
-
-def _record_crc(record: dict) -> str:
-    payload = json.dumps(record, sort_keys=True).encode("utf-8")
-    return f"{zlib.crc32(payload) & 0xFFFFFFFF:08x}"
-
-
-def encode_trace_line(record: dict) -> str:
-    """One trace event as a checksummed JSON line (no newline)."""
-    return json.dumps({CRC_KEY: _record_crc(record), **record},
-                      sort_keys=True)
-
-
-def decode_trace_line(line: str) -> Tuple[Optional[dict], Optional[str]]:
-    """``(record, None)`` on success, ``(None, reason)`` otherwise."""
-    line = line.strip()
-    if not line:
-        return None, "empty"
-    try:
-        obj = json.loads(line)
-    except ValueError:
-        return None, "unparsable"
-    if not isinstance(obj, dict):
-        return None, "unparsable"
-    claimed = obj.pop(CRC_KEY, None)
-    if claimed is None or claimed != _record_crc(obj):
-        return None, "checksum"
-    return obj, None
 
 
 class _NoopSpan:
@@ -119,10 +85,16 @@ class _Span:
 
 
 class Tracer:
-    """Appends one checksummed event per finished span to a JSONL file."""
+    """Appends one checksummed event per finished span to a JSONL file.
 
-    def __init__(self, path, sample: float = 1.0, seed: Optional[int] = None) -> None:
+    ``fs`` is the filesystem seam every append goes through (the chaos
+    suite passes a :class:`~repro.testing.faults.FaultyFS`).
+    """
+
+    def __init__(self, path, sample: float = 1.0, seed: Optional[int] = None,
+                 fs=None) -> None:
         self.path = os.fspath(path)
+        self.fs = resolve_fs(fs)
         self.sample = float(sample)
         self.enabled = True
         self._rng = random.Random(seed)
@@ -168,28 +140,12 @@ class Tracer:
 
     # -- durable append -----------------------------------------------
 
-    def _open(self):
-        """Append-open with torn-tail stitching: if a previous writer
-        died mid-line, terminate that line so ours starts clean (the
-        torn line itself fails its CRC and is skipped by readers)."""
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(self.path, "a+b") as raw:
-            raw.seek(0, os.SEEK_END)
-            if raw.tell() > 0:
-                raw.seek(-1, os.SEEK_END)
-                if raw.read(1) != b"\n":
-                    raw.write(b"\n")
-        return open(self.path, "a", encoding="utf-8")
-
     def _write(self, event: dict) -> None:
-        line = encode_trace_line(event) + "\n"
+        line = durable.encode_line(event) + "\n"
         with self._write_lock:
             if self._fh is None:
-                self._fh = self._open()
-            self._fh.write(line)
-            self._fh.flush()
+                self._fh = durable.open_append(self.path, self.fs)
+            self.fs.append_text(self._fh, line)
 
     def close(self) -> None:
         with self._write_lock:
@@ -262,11 +218,9 @@ def span(name: str, **attrs):
 
 def iter_trace(path) -> Iterator[dict]:
     """Yield every checksum-valid event; skip torn/corrupt lines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            record, _ = decode_trace_line(line)
-            if record is not None:
-                yield record
+    for _, _, record, _ in durable.scan(path, require_crc=True):
+        if record is not None:
+            yield record
 
 
 def summarize_trace(path) -> dict:
@@ -277,26 +231,42 @@ def summarize_trace(path) -> dict:
     """
     table: Dict[str, dict] = {}
     total = skipped = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            record, err = decode_trace_line(line)
-            if record is None:
-                skipped += 1
-                continue
-            total += 1
-            name = record.get("name", "?")
-            dur = float(record.get("dur_s", 0.0))
-            row = table.get(name)
-            if row is None:
-                row = table[name] = {"count": 0, "total_s": 0.0, "max_s": 0.0}
-            row["count"] += 1
-            row["total_s"] += dur
-            row["max_s"] = max(row["max_s"], dur)
+    for _, _, record, _ in durable.scan(path, require_crc=True):
+        if record is None:
+            skipped += 1
+            continue
+        total += 1
+        name = record.get("name", "?")
+        dur = float(record.get("dur_s", 0.0))
+        row = table.get(name)
+        if row is None:
+            row = table[name] = {"count": 0, "total_s": 0.0, "max_s": 0.0}
+        row["count"] += 1
+        row["total_s"] += dur
+        row["max_s"] = max(row["max_s"], dur)
     for row in table.values():
         row["mean_s"] = row["total_s"] / row["count"]
     ordered = dict(sorted(table.items(),
                           key=lambda kv: -kv[1]["total_s"]))
     return {"spans": ordered, "total_events": total,
             "skipped_lines": skipped}
+
+
+def fsck_trace(path, repair: bool = False) -> dict:
+    """Verify every line of a trace file; optionally quarantine damage.
+
+    The report has the shape of
+    :meth:`~repro.experiments.campaign.CampaignStore.fsck`'s: ``{"files",
+    "records_ok", "foreign", "damaged", "repaired"}``.  With
+    ``repair=True`` damaged lines move to ``corrupt/<name>.bad`` next to
+    the trace and the file is rewritten without them.
+    """
+    records, damaged = durable.fsck_file(
+        path, require_crc=True, repair=repair, fs=resolve_fs(None))
+    return {
+        "files": [os.path.basename(os.fspath(path))],
+        "records_ok": len(records),
+        "foreign": 0,
+        "damaged": damaged,
+        "repaired": len(damaged) if repair else 0,
+    }

@@ -37,11 +37,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from ..durable import write_atomic
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..registry.scenario import ScenarioSpec
 from ..statespace.expand import AGENT_FILTERS, MOVESETS
-from ..testing.faults import resolve_fs
+from ..testing.faults import REAL_FS, resolve_fs
 from .quotas import QuotaPolicy
 
 __all__ = [
@@ -283,10 +284,8 @@ def _worker_sigterm(signum, frame) -> None:
         os._exit(EXIT_RELEASED)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+def _write_json(path: Path, payload: dict, fs) -> None:
+    write_atomic(path, json.dumps(payload, sort_keys=True) + "\n", fs)
 
 
 def _grid_for(request: JobRequest, job_id: str):
@@ -360,7 +359,7 @@ def job_worker_main(job_dir: str) -> int:
                 result = _run_campaign_job(request, job.id, store_dir)
         if result is None:
             return EXIT_RELEASED
-        _write_json(root / "result.json", result)
+        _write_json(root / "result.json", result, REAL_FS)
         return EXIT_DONE
     except BaseException as exc:  # noqa: BLE001 — worker must report, not die
         if isinstance(exc, (KeyboardInterrupt, SystemExit)):
@@ -370,7 +369,7 @@ def job_worker_main(job_dir: str) -> int:
                 "error": "worker-error",
                 "detail": "".join(
                     traceback.format_exception_only(type(exc), exc)).strip(),
-            })
+            }, REAL_FS)
         except OSError:
             pass
         return EXIT_FAILED
@@ -426,10 +425,7 @@ class JobManager:
         return self.job_dir(job_id) / "store"
 
     def _persist(self, job: Job) -> None:
-        path = self.job_dir(job.id) / "job.json"
-        tmp = path.with_suffix(".tmp")
-        self.fs.write_text(tmp, json.dumps(job.to_json(), sort_keys=True) + "\n")
-        self.fs.replace(tmp, path)
+        _write_json(self.job_dir(job.id) / "job.json", job.to_json(), self.fs)
 
     def recover(self) -> dict:
         """Rebuild the job table from disk; orphaned ``running`` jobs

@@ -4,7 +4,7 @@ The stream is the store, verbatim: every data message is one record
 line exactly as the job's :class:`~repro.experiments.campaign
 .CampaignStore` holds it (checksum field included, trailing newline
 stripped).  There is exactly one serialization —
-``encode_record_line(_trial_row(...))`` — shared by ``repro campaign``,
+``durable.encode_line(_trial_row(...))`` — shared by ``repro campaign``,
 the fabric workers, and this websocket, so a streamed job is
 byte-identical to the same spec run directly.
 
@@ -27,7 +27,7 @@ import time
 from pathlib import Path
 from typing import List, Tuple
 
-from ..experiments.campaign import decode_record_line
+from ..durable import decode_line
 from ..obs import metrics as obs_metrics
 from .jobs import TERMINAL_STATES, Job, JobManager
 from .protocol import CLOSE_NORMAL, ProtocolError, WebSocket
@@ -82,7 +82,7 @@ class RecordTail:
                 if not raw:
                     continue
                 text = raw.decode("utf-8", errors="replace")
-                if decode_record_line(text)[0] is not None:
+                if decode_line(text, require_crc=False)[0] is not None:
                     lines.append(text)
             self._cursors[path.name] = (offset, partial)
         return lines

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List
 
+from ..durable import write_atomic
 from ..experiments.campaign import CampaignMismatch, CampaignStore
 
 __all__ = ["ExplorationStore", "STORE_VERSION", "CampaignMismatch"]
@@ -122,7 +123,6 @@ def manifest_for(
 
 def write_report(store: ExplorationStore, report) -> None:
     """Persist the finished report as ``report.json`` (canonical bytes)."""
-    path = store.root / "report.json"
-    tmp = path.with_suffix(".tmp")
-    tmp.write_bytes(report.json_bytes())
-    tmp.replace(path)
+    # json_bytes() is ASCII, so the text round-trip is byte-identical
+    write_atomic(store.root / "report.json",
+                 report.json_bytes().decode("ascii"), store.fs)

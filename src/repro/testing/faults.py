@@ -8,14 +8,20 @@ failure family *provokable on demand* so the chaos suite
 survives every one of them byte-identically.
 
 The seam is a tiny filesystem facade: :class:`FS` performs the real
-operations, and :class:`~repro.experiments.fabric.WorkQueue`,
+operations, and every persisted file routes its *mutating* calls —
+rename/replace, whole-file writes, JSONL appends, utime, stat, unlink,
+rmtree — through the ``fs`` object its owner was constructed with:
+:class:`~repro.experiments.fabric.WorkQueue`,
 :class:`~repro.experiments.campaign.CampaignStore` (hence the
-exploration store), and :mod:`repro.experiments.columnar` route every
-*mutating* call — rename/replace, whole-file writes, JSONL appends,
-utime, stat, unlink, rmtree — through the ``fs`` object they were
-constructed with.  Production code gets :data:`REAL_FS` (zero
-overhead beyond one attribute hop); the chaos suite hands in a
-:class:`FaultyFS` armed with a :class:`FaultPlan`.
+exploration store and its ``report.json``),
+:mod:`repro.experiments.columnar`, the service
+:class:`~repro.service.jobs.JobManager`'s job table,
+:class:`~repro.obs.tracing.Tracer` and
+:func:`~repro.obs.metrics.write_snapshot_file`, all by way of
+:mod:`repro.durable`.  This module is the only one that renames files
+directly.  Production code gets :data:`REAL_FS` (zero overhead beyond
+one attribute hop); the chaos suite hands in a :class:`FaultyFS` armed
+with a :class:`FaultPlan`.
 
 A plan is a sequence of :class:`Fault` rules, each matching one
 operation kind (optionally filtered by a path substring), counting

@@ -23,11 +23,10 @@ import time
 
 import pytest
 
+from repro import durable
 from repro.experiments.campaign import (
     CampaignStore,
     aggregate_payload,
-    decode_record_line,
-    encode_record_line,
     run_campaign,
 )
 from repro.experiments.columnar import (
@@ -36,8 +35,17 @@ from repro.experiments.columnar import (
     iter_store_records,
 )
 from repro.experiments.config import ExperimentConfig, FigureSpec
-from repro.experiments.fabric import CampaignSource, WorkQueue
+from repro.experiments.fabric import (
+    CampaignSource,
+    WorkQueue,
+    fleet_snapshot,
+    metrics_dir,
+)
+from repro.obs import metrics as obs_metrics
+from repro.obs.tracing import Tracer, iter_trace, summarize_trace
+from repro.service.jobs import JobManager
 from repro.testing.faults import Fault, FaultPlan, FaultyFS, InjectedCrash
+from tests.service.conftest import trial_payload
 
 TTL = 60.0  # reaped via explicit ``now=`` instants; wall time never waits
 
@@ -403,15 +411,76 @@ class TestFsck:
                       "status": "converged"}
             fh.write(json.dumps(legacy, sort_keys=True) + "\n")
             # a foreign row (checksummed, but not a campaign record)
-            fh.write(encode_record_line({"kind": "note"}) + "\n")
+            fh.write(durable.encode_line({"kind": "note"}) + "\n")
         report = store.fsck()
         assert report["damaged"] == []
         assert report["foreign"] == 1
 
     def test_encode_decode_roundtrip_and_tamper_detection(self):
+        def decode_record_line(line):
+            """The store rule: a line with no checksum is a legacy line."""
+            return durable.decode_line(line, require_crc=False)
+
         rec = {"cell": "c", "trial": 3, "steps": 7}
-        line = encode_record_line(rec)
+        line = durable.encode_line(rec)
         assert decode_record_line(line) == (rec, None)
         tampered = line.replace('"steps": 7', '"steps": 8')
         assert decode_record_line(tampered) == (None, "checksum")
         assert decode_record_line(line[:-4]) == (None, "unparsable")
+        assert decode_record_line(json.dumps(rec)) == (rec, None)
+
+
+class TestSeamReach:
+    """Files outside the record stores that persist through the seam:
+    traces, the service job table and metric snapshots."""
+
+    def test_tracer_torn_append_is_stitched_and_skipped(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        fs = FaultyFS(FaultPlan((Fault(op="append", nth=1, kind="torn"),)))
+        tracer = Tracer(path, fs=fs)
+        with tracer.span("kept"):
+            pass
+        with pytest.raises(InjectedCrash):
+            with tracer.span("torn"):
+                pass
+        assert fs.fired == [("torn", "append", str(path))]
+        tracer.close()
+        fs.revive()
+        tracer = Tracer(path, fs=fs)  # the rebooted process
+        with tracer.span("after"):
+            pass
+        tracer.close()
+        assert [e["name"] for e in iter_trace(path)] == ["kept", "after"]
+        assert summarize_trace(path)["skipped_lines"] == 1
+
+    def test_job_table_crash_on_replace_recovers_last_state(self, tmp_path):
+        # replace #0 persists the submit, #1 the queued -> running move
+        fs = FaultyFS(FaultPlan((Fault(op="replace", nth=1, kind="crash",
+                                       path="job.json"),)))
+        manager = JobManager(tmp_path, workers=1, fs=fs)
+        manager.recover()
+        job = manager.submit(trial_payload(), client="t")
+        with pytest.raises(InjectedCrash):
+            manager._spawn_ready()
+        assert not manager.procs  # died before any worker started
+        fresh = JobManager(tmp_path, workers=0)
+        assert fresh.recover() == {"jobs": 1, "requeued": 0}
+        assert fresh.jobs[job.id].state == "queued"
+        assert fresh.jobs[job.id].request == job.request
+
+    def test_snapshot_crash_on_replace_keeps_previous(self, tmp_path):
+        meter = obs_metrics.Meter(enabled=True)
+        calls = meter.counter("calls_total")
+        path = metrics_dir(tmp_path) / "w1.json"
+        calls.inc(3)
+        obs_metrics.write_snapshot_file(path, meter)
+        before = obs_metrics.read_snapshot_file(path)
+        calls.inc(4)
+        fs = FaultyFS(FaultPlan((Fault(op="replace", kind="crash"),)))
+        with pytest.raises(InjectedCrash):
+            obs_metrics.write_snapshot_file(path, meter, fs=fs)
+        assert obs_metrics.read_snapshot_file(path) == before
+        # the crash left the written tmp file behind; the fleet fold skips it
+        assert len(list(path.parent.iterdir())) == 2
+        assert fleet_snapshot(tmp_path) == before
+        assert before["calls_total"]["values"]["{}"] == 3.0

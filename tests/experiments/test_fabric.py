@@ -14,14 +14,11 @@ The contract under test (see :mod:`repro.experiments.fabric` and
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import signal
-import sys
 import threading
 import time
-import types
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,6 +52,7 @@ from repro.experiments.fabric import (
     drain_campaign,
     worker_main,
 )
+from repro.testing.faults import Fault, FaultPlan, FaultyFS
 
 
 def tiny_spec() -> FigureSpec:
@@ -405,7 +403,7 @@ class TestColumnar:
         before = sorted(
             json.dumps(r, sort_keys=True) for r in store.iter_records()
         )
-        summary = compact_store(store, chunk_rows=5, use_parquet=False)
+        summary = compact_store(store, chunk_rows=5)
         assert summary["rows"] == len(before) and summary["chunks"] >= 3
         after = sorted(
             json.dumps(r, sort_keys=True) for r in iter_store_records(store)
@@ -421,7 +419,7 @@ class TestColumnar:
         root = tmp_path / "c"
         run_campaign(spec, root, n_jobs=1)
         store = CampaignStore(root)
-        summary = compact_store(store, prune=True, use_parquet=False)
+        summary = compact_store(store, prune=True)
         assert summary["pruned"] and not store.record_files()
         status = campaign_status(root)
         assert status["complete"] and status["done"] == status["total"] == 12
@@ -432,7 +430,7 @@ class TestColumnar:
         spec = tiny_spec()
         root = tmp_path / "c"
         first = run_campaign(spec, root, n_jobs=1)
-        compact_store(CampaignStore(root), prune=True, use_parquet=False)
+        compact_store(CampaignStore(root), prune=True)
         again = run_campaign(spec, root, n_jobs=1)
         assert again.new_trials == 0 and again.skipped_existing == 12
         assert result_payload(again.result) == result_payload(first.result)
@@ -442,7 +440,7 @@ class TestColumnar:
         root = tmp_path / "c"
         run_campaign(spec, root, n_jobs=1, max_new_trials=8)
         store = CampaignStore(root)
-        compact_store(store, use_parquet=False)
+        compact_store(store)
         columnar = ColumnarStore(root)
         assert columnar.fresh(store)
         # more trials land in the same shard file → it grows → stale
@@ -459,7 +457,7 @@ class TestColumnar:
         root = tmp_path / "c"
         run_campaign(spec, root, n_jobs=1)
         store = CampaignStore(root)
-        compact_store(store, use_parquet=False)
+        compact_store(store)
         columnar = ColumnarStore(root)
         assert columnar.cells_done(trials=6) is not None
         assert columnar.cells_done(trials=4) is None  # bound changed → rescan
@@ -469,28 +467,12 @@ class TestColumnar:
         root = tmp_path / "c"
         run_campaign(spec, root, n_jobs=1, max_new_trials=6)
         store = CampaignStore(root)
-        compact_store(store, use_parquet=False)
+        compact_store(store)
         first_rows = ColumnarStore(root).rows()
         run_campaign(spec, root, n_jobs=1)
-        compact_store(store, use_parquet=False)
+        compact_store(store)
         assert ColumnarStore(root).rows() == 12 > first_rows
         assert ColumnarStore(root).fresh(store)
-
-    def test_parquet_roundtrip(self, tmp_path):
-        pytest.importorskip("pyarrow")
-        spec = tiny_spec()
-        root = tmp_path / "c"
-        run_campaign(spec, root, n_jobs=1)
-        store = CampaignStore(root)
-        before = sorted(
-            json.dumps(r, sort_keys=True) for r in store.iter_records()
-        )
-        summary = compact_store(store, use_parquet=True)
-        assert summary["format"] == "parquet"
-        after = sorted(
-            json.dumps(r, sort_keys=True) for r in iter_store_records(store)
-        )
-        assert after == before
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +497,7 @@ class TestExplorationDrain:
 
         # compact + prune the drained store; the replay still works
         store = ExplorationStore(tmp_path / "x")
-        summary = compact_store(store, prune=True, use_parquet=False)
+        summary = compact_store(store, prune=True)
         assert summary["pruned"] and not store.record_files()
         assert store.status()["complete"]
         replay = explore(game, n=3, store=store)
@@ -844,7 +826,7 @@ class TestCoordinatorEdges:
 
 
 # ---------------------------------------------------------------------------
-# columnar edge cases and the parquet path (via a stand-in pyarrow)
+# columnar edge cases
 
 
 def synthetic_store(root, rows=12, cells=2, manifest=True) -> CampaignStore:
@@ -880,12 +862,12 @@ class TestColumnarEdges:
     def test_summary_needs_wellformed_store_manifest(self, tmp_path):
         # no store manifest: compaction works, but no status summary
         bare = synthetic_store(tmp_path / "a", manifest=False)
-        assert compact_store(bare, use_parquet=False)["rows"] == 12
+        assert compact_store(bare)["rows"] == 12
         assert ColumnarStore(bare.root).cells_done() is None
         # a manifest without a usable trials bound: same
         bad = synthetic_store(tmp_path / "b")
         (bad.root / "manifest.json").write_text('{"figure": "x"}')
-        compact_store(bad, use_parquet=False)
+        compact_store(bad)
         assert ColumnarStore(bad.root).cells_done() is None
 
     def test_stale_tmp_and_old_dirs_are_cleared(self, tmp_path):
@@ -893,11 +875,11 @@ class TestColumnarEdges:
         tmp_dir = store.root / f".columnar-{os.getpid()}.tmp"
         tmp_dir.mkdir()
         (tmp_dir / "junk").write_text("x")  # a previous kill's leftovers
-        compact_store(store, use_parquet=False)
+        compact_store(store)
         assert not tmp_dir.exists()
         old = store.root / f".columnar-old-{os.getpid()}"
         old.mkdir()
-        compact_store(store, use_parquet=False)
+        compact_store(store)
         assert not old.exists()
         assert ColumnarStore(tmp_path).rows() == 12
 
@@ -912,128 +894,29 @@ class TestColumnarEdges:
                 return sizes
 
         synthetic_store(tmp_path)
-        summary = compact_store(GhostlyStore(tmp_path), use_parquet=False,
+        summary = compact_store(GhostlyStore(tmp_path),
                                 prune=True)
         assert "trials-ghost.jsonl" not in summary["pruned"]
         assert summary["pruned"] and not CampaignStore(tmp_path).record_files()
 
-
-def _install_fake_pyarrow(monkeypatch, fail_write=False) -> None:
-    """A stand-in ``pyarrow`` speaking just enough of the API for the
-    parquet compaction path: schema/string/array/Table.from_arrays on
-    the write side, read_table/to_batches/column/to_pylist on the read
-    side.  The "parquet file" is JSON under the hood — the point is the
-    format dispatch and encoding logic, not parquet bytes."""
-    pa = types.ModuleType("pyarrow")
-    pq = types.ModuleType("pyarrow.parquet")
-
-    class _Schema:
-        def __init__(self, fields):
-            self.names = [name for name, _ in fields]
-
-    class _Array:
-        def __init__(self, values, type=None):
-            self._values = list(values)
-
-        def to_pylist(self):
-            return list(self._values)
-
-    class _Batch:
-        def __init__(self, columns):
-            self._columns = columns
-
-        def column(self, i):
-            return _Array(self._columns[i])
-
-    class _Table:
-        def __init__(self, names, columns):
-            self.column_names = names
-            self._columns = columns
-
-        def to_batches(self):
-            return [_Batch(self._columns)]
-
-        @staticmethod
-        def from_arrays(arrays, schema):
-            return _Table(schema.names, [a.to_pylist() for a in arrays])
-
-    class _Writer:
-        def __init__(self, path, schema):
-            self._path = Path(path)
-            self._schema = schema
-            self._columns = [[] for _ in schema.names]
-
-        def write_table(self, table):
-            if fail_write:
-                raise RuntimeError("synthetic parquet failure")
-            for col, values in zip(self._columns, table._columns):
-                col.extend(values)
-
-        def close(self):
-            self._path.write_text(json.dumps(
-                {"names": self._schema.names, "columns": self._columns}
-            ))
-
-    def read_table(path):
-        payload = json.loads(Path(path).read_text())
-        return _Table(payload["names"], payload["columns"])
-
-    pa.schema = _Schema
-    pa.string = lambda: "string"
-    pa.array = _Array
-    pa.Table = _Table
-    pa.parquet = pq
-    pq.ParquetWriter = _Writer
-    pq.read_table = read_table
-    monkeypatch.setitem(sys.modules, "pyarrow", pa)
-    monkeypatch.setitem(sys.modules, "pyarrow.parquet", pq)
-
-
-class TestParquetStub:
-    def test_roundtrip_prune_and_summary(self, tmp_path, monkeypatch):
-        _install_fake_pyarrow(monkeypatch)
-        store = synthetic_store(tmp_path)
-        before = sorted(
-            json.dumps(r, sort_keys=True) for r in store.iter_records()
-        )
-        summary = compact_store(store, chunk_rows=5, prune=True)
-        assert summary["format"] == "parquet" and summary["rows"] == 12
-        assert summary["pruned"] and not store.record_files()
-        after = sorted(
-            json.dumps(r, sort_keys=True) for r in iter_store_records(store)
-        )
-        assert after == before
-        assert ColumnarStore(tmp_path).cells_done(6) == {"c0": 6, "c1": 6}
-
-    def test_reader_refuses_without_pyarrow(self, tmp_path, monkeypatch):
-        if importlib.util.find_spec("pyarrow") is not None:
-            pytest.skip("real pyarrow installed; the reader would succeed")
-        _install_fake_pyarrow(monkeypatch)
-        compact_store(synthetic_store(tmp_path))
-        monkeypatch.delitem(sys.modules, "pyarrow")
-        monkeypatch.delitem(sys.modules, "pyarrow.parquet")
-        with pytest.raises(RuntimeError, match="no longer importable"):
-            list(ColumnarStore(tmp_path).iter_rows())
-
-    def test_write_failure_falls_back_to_chunks(self, tmp_path, monkeypatch):
-        _install_fake_pyarrow(monkeypatch, fail_write=True)
-        store = synthetic_store(tmp_path)
-        summary = compact_store(store)  # parquet attempted, then chunks
-        assert summary["format"] == "chunks" and summary["rows"] == 12
-        assert ColumnarStore(tmp_path).fresh(store)
-
-    def test_forced_parquet_failure_surfaces_and_cleans_up(self, tmp_path,
-                                                           monkeypatch):
-        _install_fake_pyarrow(monkeypatch, fail_write=True)
-        store = synthetic_store(tmp_path)
-        with pytest.raises(RuntimeError, match="synthetic parquet failure"):
-            compact_store(store, use_parquet=True)
-        assert not list(store.root.glob(".columnar-*"))  # tmp removed
+    def test_failed_compaction_leaves_no_debris(self, tmp_path):
+        synthetic_store(tmp_path)
+        fs = FaultyFS(FaultPlan((Fault(op="write", kind="short",
+                                       path="chunk0-col1"),)))
+        with pytest.raises(OSError, match="short write"):
+            compact_store(CampaignStore(tmp_path, fs=fs))
+        assert [fired[:2] for fired in fs.fired] == [("short", "write")]
+        assert not list(tmp_path.glob(".columnar-*"))  # tmp removed
         assert not ColumnarStore(tmp_path).exists()
 
-    def test_forced_parquet_without_pyarrow(self, tmp_path):
-        if importlib.util.find_spec("pyarrow") is not None:
-            pytest.skip("real pyarrow installed; the forced path would work")
+    def test_reader_refuses_a_non_chunks_manifest(self, tmp_path):
         store = synthetic_store(tmp_path)
-        with pytest.raises(RuntimeError, match="pyarrow is not importable"):
-            compact_store(store, use_parquet=True)
+        compact_store(store)
+        columnar = ColumnarStore(tmp_path)
+        manifest = columnar.load_manifest()
+        manifest["format"] = "parquet"  # what an older version could write
+        columnar.manifest_path().write_text(json.dumps(manifest))
+        with pytest.raises(RuntimeError, match="'parquet' compaction"):
+            list(columnar.iter_rows())
+        with pytest.raises(RuntimeError, match="'parquet' compaction"):
+            store.completed_index(store.iter_all_records())

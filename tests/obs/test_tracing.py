@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro import durable
 from repro.obs import tracing as T
 
 
@@ -17,25 +18,34 @@ def isolated_global_tracer():
     T._GLOBAL = saved
 
 
+def decode_trace_line(line):
+    """The trace rule: every line must carry a checksum."""
+    return durable.decode_line(line, require_crc=True)
+
+
 class TestLineCodec:
     def test_round_trip(self):
-        line = T.encode_trace_line({"kind": "span", "name": "x", "dur_s": 0.5})
-        record, err = T.decode_trace_line(line)
+        line = durable.encode_line({"kind": "span", "name": "x", "dur_s": 0.5})
+        record, err = decode_trace_line(line)
         assert err is None and record["name"] == "x"
-        assert T.CRC_KEY not in record
+        assert durable.CRC_KEY not in record
 
     def test_tampered_line_fails_checksum(self):
-        line = T.encode_trace_line({"name": "x", "dur_s": 0.5})
-        record, err = T.decode_trace_line(line.replace("0.5", "9.9"))
+        line = durable.encode_line({"name": "x", "dur_s": 0.5})
+        record, err = decode_trace_line(line.replace("0.5", "9.9"))
         assert record is None and err == "checksum"
 
-    def test_garbage_and_empty(self):
-        assert T.decode_trace_line("not json")[1] == "unparsable"
-        assert T.decode_trace_line("[1, 2]")[1] == "unparsable"
-        assert T.decode_trace_line("   ")[1] == "empty"
+    def test_garbage_and_empty(self, tmp_path):
+        assert decode_trace_line("not json")[1] == "unparsable"
+        assert decode_trace_line("[1, 2]")[1] == "unparsable"
+        # blank lines are never decoded: the scan skips them
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n   \nnot json\n")
+        assert [(no, reason) for no, _, _, reason in
+                durable.scan(path, require_crc=True)] == [(3, "unparsable")]
 
     def test_missing_crc_is_a_checksum_failure(self):
-        assert T.decode_trace_line(json.dumps({"name": "x"}))[1] == "checksum"
+        assert decode_trace_line(json.dumps({"name": "x"}))[1] == "checksum"
 
 
 def read_events(path):
@@ -145,7 +155,7 @@ class TestSummarize:
         path = tmp_path / "t.jsonl"
         with open(path, "w") as fh:
             for name, dur in (("a", 0.1), ("b", 5.0), ("a", 0.2)):
-                fh.write(T.encode_trace_line(
+                fh.write(durable.encode_line(
                     {"kind": "span", "name": name, "dur_s": dur}) + "\n")
         summary = T.summarize_trace(path)
         assert list(summary["spans"]) == ["b", "a"]

@@ -5,7 +5,8 @@ from __future__ import annotations
 import asyncio
 import json
 
-from repro.experiments.campaign import encode_record_line, run_campaign
+from repro.durable import encode_line
+from repro.experiments.campaign import run_campaign
 from repro.service.jobs import JobManager, parse_job_request, _grid_for
 from repro.service.protocol import OP_CLOSE, OP_TEXT, decode_frame
 from repro.service.stream import RecordTail, stream_job
@@ -79,8 +80,8 @@ class TestByteIdentity:
 
 
 def fake_line(trial: int) -> str:
-    return encode_record_line({"cell": "cell-n8", "trial": trial,
-                               "steps": trial, "status": "converged"})
+    return encode_line({"cell": "cell-n8", "trial": trial,
+                        "steps": trial, "status": "converged"})
 
 
 class WsHarness:

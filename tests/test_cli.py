@@ -252,6 +252,36 @@ class TestFsck:
         assert main(["fsck", root]) == 0
         assert "no damage found" in capsys.readouterr().out
 
+    def test_fsck_reports_then_repairs_trace_damage(self, capsys, tmp_path):
+        from pathlib import Path
+
+        from repro.obs.tracing import Tracer, iter_trace
+
+        trace = tmp_path / "t.jsonl"
+        tracer = Tracer(trace)
+        for name in ("a", "b"):
+            with tracer.span(name):
+                pass
+        tracer.close()
+        with open(trace, "a") as fh:
+            fh.write('{"name": "no-checksum"}\n')  # damage under the trace rule
+            fh.write('{"kind": "span", "na')  # torn tail
+        capsys.readouterr()
+
+        assert main(["fsck", str(trace)]) == 1
+        out = capsys.readouterr().out
+        assert "2 records ok" in out and "2 damaged lines" in out
+        assert "t.jsonl:3: checksum" in out and "t.jsonl:4: unparsable" in out
+
+        assert main(["fsck", str(trace), "--repair"]) == 0
+        assert "quarantined 2 lines" in capsys.readouterr().out
+        bad = Path(tmp_path / "corrupt" / "t.jsonl.bad").read_text()
+        assert bad == '{"name": "no-checksum"}\n{"kind": "span", "na\n'
+        assert [e["name"] for e in iter_trace(trace)] == ["a", "b"]
+
+        assert main(["fsck", str(trace)]) == 0
+        assert "no damage found" in capsys.readouterr().out
+
     def test_fsck_exploration_store(self, capsys, tmp_path):
         assert main(["explore", "--game", "sg", "--n", "3",
                      "--results-dir", str(tmp_path)]) == 0

@@ -11,6 +11,7 @@ import pytest
 
 MODULES = [
     "repro",
+    "repro.durable",
     "repro.core",
     "repro.core.dynamics",
     "repro.core.policies",
