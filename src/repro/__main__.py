@@ -33,11 +33,12 @@ Commands
 ``compact RESULTS_DIR [--prune] [--status]``
     Fold a store's JSONL records into the columnar analytics layout
     (JSON column chunks) so status and aggregation stop re-parsing JSONL.
-``fsck RESULTS_DIR|TRACE.jsonl [--repair]``
+``fsck RESULTS_DIR|STATE_DIR|TRACE.jsonl [--repair]``
     Verify the per-line checksums of a store's JSONL files (or of one
     trace file) and report exactly the damaged lines; ``--repair``
     quarantines them under ``corrupt/`` next to the files and rewrites
-    the files clean.
+    the files clean.  A ``repro serve`` state dir gets every job's store
+    checked and its whole-file JSON parse-checked.
 ``classify [figures...]``
     Exhaustive reachable-dynamics classification of instance states.
 ``explore --game sg --n 4 [--moves best] [--policy all] [--shard i/k]``
@@ -576,17 +577,13 @@ def cmd_compact(args) -> int:
     """``repro compact``: fold a store's JSONL records into columnar."""
     import json
 
-    from .experiments.campaign import CampaignStore
     from .experiments.columnar import ColumnarStore, compact_store
-    from .statespace.store import ExplorationStore
+    from .statespace.store import open_store
 
-    store = CampaignStore(args.root)
-    manifest = store.load_manifest()
-    if manifest is None:
+    store = open_store(args.root)
+    if store is None:
         print(f"no store manifest under {args.root}")
         return 1
-    if manifest.get("kind") == "statespace":
-        store = ExplorationStore(args.root)
 
     if args.status:
         columnar = ColumnarStore(args.root)
@@ -611,25 +608,27 @@ def cmd_compact(args) -> int:
 
 
 def cmd_fsck(args) -> int:
-    """``repro fsck``: verify per-line checksums of a store or a trace."""
+    """``repro fsck``: verify a store, a service state dir or a trace."""
     from pathlib import Path
 
     from .durable import CORRUPT_DIRNAME
-    from .experiments.campaign import CampaignStore
     from .obs.tracing import fsck_trace
-    from .statespace.store import ExplorationStore
+    from .service.jobs import JobManager
+    from .statespace.store import open_store
 
+    what = "lines"
     if Path(args.root).is_file():
         report = fsck_trace(args.root, repair=args.repair)
         corrupt_dir = Path(args.root).parent / CORRUPT_DIRNAME
+    elif (Path(args.root) / "jobs").is_dir():
+        report = JobManager(args.root, workers=0).fsck(repair=args.repair)
+        corrupt_dir = f"{CORRUPT_DIRNAME}/ next to each"
+        what = "files or lines"
     else:
-        store = CampaignStore(args.root)
-        manifest = store.load_manifest()
-        if manifest is None:
+        store = open_store(args.root)
+        if store is None:
             print(f"no store manifest under {args.root}")
             return 1
-        if manifest.get("kind") == "statespace":
-            store = ExplorationStore(args.root)
         report = store.fsck(repair=args.repair)
         corrupt_dir = store.corrupt_dir()
 
@@ -640,14 +639,16 @@ def cmd_fsck(args) -> int:
     if not report["damaged"]:
         print("no damage found")
         return 0
-    print(f"{len(report['damaged'])} damaged lines:")
+    print(f"{len(report['damaged'])} damaged {what}:")
     for item in report["damaged"]:
-        print(f"  {item['file']}:{item['line']}: {item['reason']}")
+        where = item["file"] if item["line"] is None else (
+            f"{item['file']}:{item['line']}")
+        print(f"  {where}: {item['reason']}")
     if args.repair:
-        print(f"quarantined {report['repaired']} lines under "
+        print(f"quarantined {report['repaired']} {what} under "
               f"{corrupt_dir} and rewrote the files clean")
         return 0
-    print("(rerun with --repair to quarantine the damaged lines under "
+    print(f"(rerun with --repair to quarantine the damaged {what} under "
           f"{corrupt_dir})")
     return 1
 
@@ -928,7 +929,7 @@ def main(argv=None) -> int:
                    help="durable job-table root; restarting on the same dir "
                         "resumes every in-flight job")
     p.add_argument("--workers", type=int, default=2,
-                   help="job worker processes")
+                   help="jobs drained at once (one worker process each)")
     p.add_argument("--max-jobs", type=int, default=64,
                    help="queued-job cap (503 + Retry-After beyond)")
     p.add_argument("--max-jobs-per-client", type=int, default=8,
@@ -974,8 +975,9 @@ def main(argv=None) -> int:
     p = sub.add_parser(
         "fsck",
         help="verify per-line checksums; --repair quarantines damage")
-    p.add_argument("root", help="store directory (e.g. results/fig7-seed0) "
-                                "or trace file (what REPRO_TRACE pointed at)")
+    p.add_argument("root", help="store directory (e.g. results/fig7-seed0), "
+                                "repro serve state dir, or trace file (what "
+                                "REPRO_TRACE pointed at)")
     p.add_argument("--repair", action="store_true",
                    help="move damaged lines to corrupt/ next to the files "
                         "and rewrite the files clean")

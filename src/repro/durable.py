@@ -41,6 +41,7 @@ __all__ = [
     "decode_line",
     "encode_line",
     "fsck_file",
+    "fsck_json",
     "open_append",
     "scan",
     "write_atomic",
@@ -173,3 +174,18 @@ def fsck_file(path, *, require_crc: bool, repair: bool, fs: FS
             fs.append_text(qh, "".join(line + "\n" for line in bad))
         write_atomic(path, "".join(line + "\n" for line in keep), fs)
     return records, damaged
+
+
+def fsck_json(path, *, repair: bool, fs: FS) -> bool:
+    """Parse-check one whole-file JSON document; ``True`` if damaged.
+    With ``repair=True`` a damaged file moves to ``corrupt/<name>.bad``."""
+    path = Path(path)
+    try:
+        json.loads(path.read_text(encoding="utf-8"))
+        return False
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError alike
+        if repair:
+            quarantine = path.parent / CORRUPT_DIRNAME / f"{path.name}.bad"
+            quarantine.parent.mkdir(parents=True, exist_ok=True)
+            fs.replace(path, quarantine)
+        return True

@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import multiprocessing.connection
 import signal
 import threading
 import time
@@ -167,8 +168,8 @@ def fleet_snapshot(root) -> dict:
 
 
 class FabricError(RuntimeError):
-    """The drain cannot make progress (units exhausted retries, or the
-    worker fleet keeps dying faster than it can be respawned)."""
+    """The drain cannot make progress (the fleet keeps dying, the rounds
+    never converge, or an exploration outgrew ``max_states``)."""
 
 
 @dataclass
@@ -362,6 +363,34 @@ class WorkQueue:
             self.fs.unlink(lease.path)
         except OSError:
             pass
+
+    def reopen(self, units: Sequence[dict]) -> int:
+        """Move each of ``units`` that sits in done back to pending, as
+        planned now: the source lost its output (say, a record ``fsck
+        --repair`` quarantined) and wants it again.  Returns how many."""
+        reopened = 0
+        for unit in units:
+            path = self.done / f"{unit['id']}.json"
+            if not path.exists():
+                continue  # pending, leased or failed: not ours to move
+            # unlink first: a kill in between leaves the unit unknown,
+            # and the next plan enqueues it afresh
+            self.fs.unlink(path)
+            self._write(self.pending / path.name,
+                        {**unit, "retries": 0, "not_before": 0.0})
+            reopened += 1
+        return reopened
+
+    def release_leases(self, note: str, owner: Optional[str] = None) -> int:
+        """Put every lease (of ``owner``, if given) whose worker is known
+        to be gone straight back to pending; returns how many."""
+        leases = [Lease(unit, path)
+                  for path in sorted(self.leased.glob("*.json"))
+                  if (unit := self._read(path)) is not None
+                  and owner in (None, unit.get("owner"))]
+        for lease in leases:
+            self.release(lease, note=note)
+        return len(leases)
 
     def complete(self, lease: Lease, result: Optional[dict] = None) -> bool:
         """Move the lease to done.  Returns ``False`` when the unit was
@@ -617,8 +646,9 @@ class FabricSource:
     """Adapter from a problem to queue units.  Subclasses implement:
 
     * ``store(root)`` — the record store the units write into;
-    * ``plan(store, round_index)`` — the units of one planning round
-      (empty list = nothing left to offer this round);
+    * ``plan(store, round_index)`` — the units of one planning round;
+      the drain re-plans after every round until a plan is empty
+      (static decompositions plan once, dynamic ones until finished);
     * ``execute(unit, store, worker)`` — run one unit, writing records
       tagged with the worker id;
     * ``finished(store)`` — whether the whole problem is drained;
@@ -629,10 +659,6 @@ class FabricSource:
     concurrently, after a lease reassignment) — the stores guarantee
     that as long as all writes go through their append discipline.
     """
-
-    #: rounds a source needs.  Static decompositions (campaign) plan
-    #: once; dynamic ones (exploration) re-plan until finished.
-    multi_round = False
 
     def store(self, root):
         raise NotImplementedError
@@ -654,11 +680,11 @@ class FabricSource:
 class CampaignSource(FabricSource):
     """A figure-grid campaign as fabric work units.
 
-    Each unit is one cell plus a block of at most ``unit_trials`` trial
-    indices.  The runner's seeding makes trial ``i`` of a cell a pure
-    function of ``(config, n, seed, i)`` — independent of how many
-    trials any invocation asks for — so executing arbitrary blocks on
-    arbitrary workers reproduces the serial campaign record-for-record.
+    Each unit is one cell plus the missing trials of one aligned block
+    of ``unit_trials`` indices (a re-plan reproduces queued unit ids).
+    The runner's seeding makes trial ``i`` of a cell a pure function of
+    ``(config, n, seed, i)``, so executing arbitrary blocks on arbitrary
+    workers reproduces the serial campaign record-for-record.
     """
 
     spec: FigureSpec
@@ -693,22 +719,28 @@ class CampaignSource(FabricSource):
         block = max(1, int(self.unit_trials))
         units = []
         for cell in cells:
-            missing = [
-                i for i in range(trials) if i not in done.get(cell.key, set())
-            ]
-            for start in range(0, len(missing), block):
-                indices = missing[start:start + block]
-                units.append({
-                    "id": f"{cell.key}-t{indices[0]}",
-                    "cell": cell.key,
-                    "trials": indices,
-                })
+            cell_done = done.get(cell.key, set())
+            for start in range(0, trials, block):
+                indices = [i for i in range(start, min(start + block, trials))
+                           if i not in cell_done]
+                if indices:
+                    units.append({
+                        "id": f"{cell.key}-t{start}",
+                        "cell": cell.key,
+                        "trials": indices,
+                    })
         return units
 
     def execute(self, unit: dict, store: CampaignStore, worker: str) -> dict:
         _, _, _, cells = self._grid()
         cell = next(c for c in cells if c.key == unit["cell"])
         indices = [int(i) for i in unit["trials"]]
+        if "error" in unit:  # a re-run: keep what the last attempt stored
+            stored = store.completed_index(store.iter_all_records())
+            indices = [i for i in indices
+                       if i not in stored.get(cell.key, set())]
+            if not indices:
+                return {"trials": 0}
         # jobs are cheap descriptors; build through the largest index so
         # positional seeding matches the serial run exactly
         jobs = trial_jobs(
@@ -760,16 +792,21 @@ class ExplorationSource(FabricSource):
     #: filesystem seam handed to the store (chaos tests only).
     fs: Optional[object] = None
 
-    multi_round = True
-
     def store(self, root):
         from ..statespace.store import ExplorationStore
 
         return ExplorationStore(root, fs=self.fs)
 
     def plan(self, store, round_index: int) -> List[dict]:
-        if round_index > 0 and self.finished(store):
-            return []
+        if round_index > 0:
+            status = store.status(self._seed_keys(store))
+            if status["discovered"] > self.max_states:
+                # clipped successors stay pending forever: fail now
+                raise FabricError(
+                    f"exploration truncated at max_states={self.max_states} "
+                    f"({status['discovered']} states discovered)")
+            if status["complete"]:
+                return []
         k = max(1, int(self.shards))
         return [
             {"id": f"r{round_index}-s{j}", "shard": [j, k],
@@ -792,6 +829,9 @@ class ExplorationSource(FabricSource):
             shard=tuple(unit["shard"]),
             max_expansions=int(unit["budget"]),
             game_name=self.game_name,
+            # a draining worker ends the unit at the next expansion; the
+            # next round re-plans the rest of the frontier
+            stop=_DRAIN_ASKED.is_set,
         )
         return {"states": report.n_states}
 
@@ -830,6 +870,11 @@ class ExplorationSource(FabricSource):
 
 # ---------------------------------------------------------------------------
 # workers
+
+
+#: set by a worker's first SIGTERM/SIGINT: finish the unit, then exit.
+#: A long unit may ask it to stop early (see ``ExplorationSource``).
+_DRAIN_ASKED = threading.Event()
 
 
 class _DrainNow(BaseException):
@@ -921,8 +966,8 @@ def worker_main(
     finish its current unit and exit (no new claims); a second one
     interrupts the unit and cleanly *releases* the lease — back to
     pending, no retry burned — before exiting.  A third signal is never
-    needed: the coordinator escalates to ``SIGKILL``, which the reaper
-    already recovers from.  ``install_signals=False`` (or running on a
+    needed: the coordinator escalates to ``SIGKILL`` and releases the
+    lease itself.  ``install_signals=False`` (or running on a
     non-main thread, where handlers cannot be installed) skips the
     handlers.
 
@@ -933,15 +978,15 @@ def worker_main(
     queue.ensure_dirs()
     store = source.store(root)
     completed = 0
-    draining = {"asked": False}
+    _DRAIN_ASKED.clear()
     # the meter may carry fork-inherited parent counts; persisting the
     # delta keeps fleet merges (``repro top``, the coordinator) exact
     entry_snapshot = obs_metrics.DEFAULT.snapshot()
 
     def _on_signal(signum, frame):
-        if draining["asked"]:
+        if _DRAIN_ASKED.is_set():
             raise _DrainNow()
-        draining["asked"] = True
+        _DRAIN_ASKED.set()
 
     previous = {}
     if install_signals:
@@ -952,7 +997,7 @@ def worker_main(
             previous = {}  # not the main thread — run signal-less
     try:
         while True:
-            if draining["asked"]:
+            if _DRAIN_ASKED.is_set():
                 return completed
             lease = queue.claim(worker_id)
             if lease is None:
@@ -985,7 +1030,8 @@ def worker_main(
             obs_metrics.write_snapshot_file(
                 metrics_dir(root) / f"{worker_id}.json",
                 snapshot=obs_metrics.diff_snapshots(
-                    obs_metrics.DEFAULT.snapshot(), entry_snapshot))
+                    obs_metrics.DEFAULT.snapshot(), entry_snapshot),
+                fs=fs)
         except OSError:
             pass  # telemetry must never fail the worker
         for sig, handler in previous.items():
@@ -993,6 +1039,7 @@ def worker_main(
                 signal.signal(sig, handler)
             except (ValueError, OSError):
                 pass
+        _DRAIN_ASKED.clear()  # after the handlers: set() takes a lock
 
 
 # ---------------------------------------------------------------------------
@@ -1032,11 +1079,11 @@ class Coordinator:
     inspectable: the kill-safety tests reach in and ``SIGKILL`` a
     worker mid-lease to prove recovery.
 
-    Graceful drain: ``SIGTERM``/``SIGINT`` during :meth:`drain` stops
-    planning, forwards the signal to the fleet (finish your unit), and
-    after ``drain_grace`` seconds escalates — a second SIGTERM makes
-    stragglers release their lease cleanly, a final SIGKILL is the
-    backstop the reaper already recovers from.  The partial
+    Graceful drain: :meth:`stop` (any thread; also SIGTERM/SIGINT during
+    :meth:`drain`) stops planning and SIGTERMs the fleet (finish your
+    unit); after ``drain_grace`` seconds a second SIGTERM makes
+    stragglers release their lease, and a final SIGKILL is the backstop,
+    releasing the killed worker's lease at once.  The partial
     :class:`DrainReport` comes back with ``interrupted=True`` and the
     next drain resumes exactly where this one stopped.
     """
@@ -1080,12 +1127,16 @@ class Coordinator:
         self.slot_owner: Dict[int, str] = {}
         self.reassigned = 0
         self.respawned = 0
-        self.parked = 0
         self.interrupted = False
+        self._halt = threading.Event()
         self._spawn_seq = 0
         #: worker id -> accumulated status (heartbeat age, retries,
         #: requeues, crashes) observed across reap scans
         self.worker_stats: Dict[str, dict] = {}
+
+    def stop(self) -> None:
+        """Wind the drain down gracefully; safe from any thread."""
+        self._halt.set()
 
     def _worker_stat(self, worker: str) -> dict:
         return self.worker_stats.setdefault(
@@ -1117,6 +1168,9 @@ class Coordinator:
             for slot in range(self.workers):
                 self._spawn(slot)
             while not self.queue.drained():
+                if self._halt.is_set():
+                    self.interrupted = True
+                    break
                 requeued, _ = self.queue.reap_expired(
                     self.lease_ttl, self.max_retries, self.backoff,
                     unit_timeout=self.unit_timeout,
@@ -1136,13 +1190,12 @@ class Coordinator:
                     # recover its lease *now* (no TTL wait) and diagnose
                     # poison units before burning another process on them
                     owner = self.slot_owner.get(slot, f"w{slot}")
-                    rq, parked = self.queue.fail_dead_owner(
+                    rq, _ = self.queue.fail_dead_owner(
                         owner,
                         max_crashes=self.max_unit_crashes,
                         exitcode=proc.exitcode,
                     )
                     self.reassigned += rq
-                    self.parked += parked
                     self._worker_stat(owner)["crashes"] += 1
                     if self.respawned >= self.max_respawns:
                         raise FabricError(
@@ -1151,22 +1204,17 @@ class Coordinator:
                         )
                     self.respawned += 1
                     self._spawn(slot)
-                time.sleep(self.poll)
-        except KeyboardInterrupt:
-            self.interrupted = True
+                # wake the moment a worker exits, not a poll later
+                multiprocessing.connection.wait(
+                    [p.sentinel for p in self.procs.values()
+                     if p.exitcode is None],
+                    timeout=self.poll)
         finally:
-            if self.interrupted:
-                self._stop_fleet_graceful()
-            else:
+            if not self.interrupted:  # the queue drained: workers exit
                 deadline = time.time() + max(self.lease_ttl, 5.0)
                 for proc in self.procs.values():
                     proc.join(timeout=max(deadline - time.time(), 0.1))
-                    if proc.is_alive():
-                        proc.terminate()
-                        proc.join(timeout=5.0)
-                    if proc.is_alive():
-                        proc.kill()
-                        proc.join(timeout=5.0)
+            self._stop_fleet_graceful()  # stragglers, if any
             self.procs.clear()
             self.slot_owner.clear()
 
@@ -1181,10 +1229,13 @@ class Coordinator:
             deadline = time.time() + self.drain_grace
             for proc in stragglers:
                 proc.join(timeout=max(deadline - time.time(), 0.1))
-        for proc in self.procs.values():
+        for slot, proc in self.procs.items():
             if proc.is_alive():
-                proc.kill()  # backstop; the reaper recovers the lease
+                proc.kill()  # backstop: its lease is released right away
                 proc.join(timeout=5.0)
+                owner = self.slot_owner.get(slot, f"w{slot}")
+                self.queue.release_leases(
+                    f"released after {owner} was killed on drain", owner)
 
     def drain(self) -> DrainReport:
         """Drive the source to completion (or to stuck-with-failures).
@@ -1192,50 +1243,46 @@ class Coordinator:
         Each round: plan units, enqueue the new ones, run the fleet
         until the queue drains.  Single-round sources finish in one
         pass; the exploration source keeps planning as the frontier
-        grows.  Raises :class:`FabricError` only on fleet collapse —
+        grows.  Raises :class:`FabricError` only when stuck (see there) —
         units that exhausted retries are *reported*, not raised, so a
-        partial drain still returns its progress; so does an
-        interrupted one (``interrupted=True``).
+        partial drain still returns its progress; so does a stopped one
+        (``interrupted=True``).
         """
-        previous_term = None
+        previous = {}
         if threading.current_thread() is threading.main_thread():
-            # SIGTERM behaves like SIGINT so one graceful-drain path
-            # (KeyboardInterrupt) covers both operator signals
-            def _term(signum, frame):
-                raise KeyboardInterrupt
-
-            try:
-                previous_term = signal.signal(signal.SIGTERM, _term)
-            except (ValueError, OSError):
-                previous_term = None
+            for sig in (signal.SIGTERM, signal.SIGINT):
+                previous[sig] = signal.signal(
+                    sig, lambda signum, frame: self.stop())
         try:
             store = self.source.store(self.root)
             rounds = 0
             for round_index in range(self.max_rounds):
+                if self._halt.is_set():
+                    self.interrupted = True
+                    break
                 units = self.source.plan(store, round_index)
                 self.queue.initialize(units)
-                if self.queue.drained():
-                    if not units:
-                        break
-                    continue  # everything offered was already done
+                # nothing new to run: stop when nothing was offered, the
+                # source is finished, or only failed units were offered;
+                # otherwise the offer is done but its output is gone (say,
+                # quarantined by ``fsck --repair``), so it runs again
+                if self.queue.drained() and (
+                        not units or self.source.finished(store)
+                        or not self.queue.reopen(units)):
+                    break
                 rounds += 1
                 self._run_round()
                 if self.interrupted:
                     break
                 if self.queue.failed_units():
                     break
-                if not self.source.multi_round:
-                    break
             else:
                 raise FabricError(
                     f"drain did not converge within {self.max_rounds} rounds"
                 )
         finally:
-            if previous_term is not None:
-                try:
-                    signal.signal(signal.SIGTERM, previous_term)
-                except (ValueError, OSError):
-                    pass
+            for sig, handler in previous.items():
+                signal.signal(sig, handler)
 
         failed = self.queue.failed_units()
         complete = (

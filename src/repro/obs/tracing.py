@@ -196,6 +196,28 @@ def _configure_from_env() -> None:
 
 _configure_from_env()
 
+#: the global tracer's write lock, held across a fork
+_HELD_FOR_FORK: list = []
+
+
+def _hold_for_fork() -> None:
+    # a fork from one thread while another appends (fabric workers start
+    # off the service's event loop) would hand the child a lock nobody
+    # releases and a half-written buffer: wait the append out instead
+    if _GLOBAL is not None:
+        _GLOBAL._write_lock.acquire()
+        _HELD_FOR_FORK.append(_GLOBAL._write_lock)
+
+
+def _release_after_fork() -> None:
+    while _HELD_FOR_FORK:
+        _HELD_FOR_FORK.pop().release()
+
+
+os.register_at_fork(before=_hold_for_fork,
+                    after_in_parent=_release_after_fork,
+                    after_in_child=_release_after_fork)
+
 
 def current_tracer() -> Optional[Tracer]:
     return _GLOBAL

@@ -694,8 +694,8 @@ def _tree_scan_workload(game: str, mode: str, m_edges: str,
 class ServeWorkload:
     """Configured simulation service (see :mod:`repro.service`).
 
-    The workload binds the capacity knobs — worker pool size and the
-    admission quotas; the call supplies deployment details (state dir,
+    The workload binds the capacity knobs — concurrent job drains and
+    the admission quotas; the call supplies deployment details (state dir,
     host, port) and blocks until SIGTERM/SIGINT drains the server.
     None of the knobs change what a job computes: results are the same
     records ``repro campaign`` / ``repro explore`` would store.
@@ -734,7 +734,7 @@ class ServeWorkload:
     "workload", "serve",
     params=(
         Param("workers", "int", default=2,
-              doc="job worker processes (0 = admission-only, never runs)"),
+              doc="jobs drained at once (0 = admission-only, never runs)"),
         Param("max_jobs", "int", default=64,
               doc="queued-job admission cap; beyond it submissions get "
                   "503 + Retry-After"),

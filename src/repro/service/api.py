@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from typing import Optional, Tuple
 
+from ..experiments.fabric import fleet_snapshot
 from ..obs import metrics as obs_metrics
 from .jobs import JobManager, JobRejected
 from .protocol import (
@@ -90,17 +91,14 @@ class ServiceApi:
 
     def _metrics(self, request: HTTPRequest) -> bytes:
         """Prometheus exposition: this process's meter folded with every
-        job worker's delta snapshot (``jobs/*/metrics.json``), so kernel
-        and per-job families show up next to the service's own."""
+        job's fleet snapshot (its drain workers' delta snapshots), so
+        kernel and per-job families show up next to the service's own."""
         if request.method != "GET":
             return error_response(405, "method-not-allowed", request.method)
         snapshot = obs_metrics.DEFAULT.snapshot()
-        for path in sorted(self.manager.jobs_dir.glob("*/metrics.json")):
-            try:
-                snapshot = obs_metrics.merge_snapshots(
-                    snapshot, obs_metrics.read_snapshot_file(path))
-            except (OSError, ValueError):
-                continue  # torn or foreign file: exposition must not 500
+        for job_id in sorted(self.manager.jobs):
+            snapshot = obs_metrics.merge_snapshots(
+                snapshot, fleet_snapshot(self.manager.store_dir(job_id)))
         body = obs_metrics.encode_prometheus(snapshot).encode("utf-8")
         return response_bytes(200, body,
                               content_type=obs_metrics.CONTENT_TYPE)

@@ -1,54 +1,52 @@
-"""The durable job table: validation, persistence, workers, recovery.
+"""The durable job table: validation, persistence, scheduling, recovery.
 
 Every job owns a directory under ``<state_dir>/jobs/<id>/``::
 
     job.json     atomically-replaced control record (state machine)
-    store/       per-job CampaignStore / ExplorationStore (kill-safe)
-    result.json  final payload, written once by the worker
-    error.json   named failure, written by the worker on error
+    store/       per-job CampaignStore / ExplorationStore (kill-safe),
+                 with the job's fabric queue under store/fabric/
+    result.json  final payload, written once when the drain completes
+    error.json   named failure
 
-``job.json`` is the *only* file the server mutates; the worker process
-writes only the store and the result/error files.  That split means a
-SIGKILLed server loses nothing: on restart :meth:`JobManager.recover`
-re-reads every ``job.json``, demotes orphaned ``running`` jobs back to
-``queued``, and the re-spawned worker resumes from the store —
-completed units are skipped by the store's ``completed_index`` exactly
-as ``repro campaign --resume`` does, so nothing is recomputed.
-
-Workers run the job in *slices* (``max_new_trials`` /
-``max_expansions``), mirroring the fabric's drain semantics from PR 7:
-the first SIGTERM lets the current slice finish and exits with
-:data:`EXIT_RELEASED` (job goes back to ``queued``); a second SIGTERM
-exits immediately — the stores are kill-safe either way.
+A running job is one drain of the fabric
+:class:`~repro.experiments.fabric.Coordinator` — the scheduler under
+``repro drain`` — over a ``CampaignSource`` (trial, campaign) or an
+``ExplorationSource`` (explore).  The manager keeps only the
+HTTP-facing state: the job table, admission, progress and cancel.  A
+SIGKILLed server loses nothing: :meth:`JobManager.recover` demotes
+orphaned ``running`` jobs to ``queued`` and releases their leases, and
+the next drain skips whatever the store already holds.  Cancel and
+shutdown both call :meth:`~repro.experiments.fabric.Coordinator.stop`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import multiprocessing
-import os
 import secrets
-import signal
-import sys
-import time
 import traceback
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
-from ..durable import write_atomic
+from ..durable import fsck_json, write_atomic
+from ..experiments.campaign import CampaignStore, aggregate_payload
+from ..experiments.fabric import (
+    CampaignSource,
+    Coordinator,
+    ExplorationSource,
+    WorkQueue,
+)
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..registry.scenario import ScenarioSpec
 from ..statespace.expand import AGENT_FILTERS, MOVESETS
-from ..testing.faults import REAL_FS, resolve_fs
+from ..statespace.store import ExplorationStore, open_store, write_report
+from ..testing.faults import resolve_fs
 from .quotas import QuotaPolicy
 
 __all__ = [
-    "EXIT_DONE",
-    "EXIT_FAILED",
-    "EXIT_RELEASED",
     "JOB_KINDS",
     "JOB_STATES",
     "Job",
@@ -56,7 +54,6 @@ __all__ = [
     "JobRejected",
     "JobRequest",
     "TERMINAL_STATES",
-    "job_worker_main",
     "parse_job_request",
 ]
 
@@ -76,17 +73,7 @@ _JOB_CANCELLED = _JOB_EVENTS.labels(event="cancelled")
 _JOB_REQUEUED = _JOB_EVENTS.labels(event="requeued")
 _JOBS_RUNNING = obs_metrics.gauge(
     "repro_jobs_running",
-    "Worker processes currently executing jobs")
-
-#: worker exit codes — the manager's reaper maps them to job states
-EXIT_DONE = 0
-EXIT_FAILED = 1
-#: graceful drain: the job is intact and resumable, put it back in queue
-EXIT_RELEASED = 3
-
-#: slice sizes for the worker's drain-aware loops
-TRIAL_SLICE = 8
-EXPLORE_SLICE = 512
+    "Jobs currently draining")
 
 DEFAULT_MAX_STATES = 200_000
 
@@ -268,22 +255,6 @@ class Job:
                    requeues=int(payload.get("requeues", 0)))
 
 
-# --------------------------------------------------------------------------
-# The worker process
-# --------------------------------------------------------------------------
-
-_drain_asked = 0
-
-
-def _worker_sigterm(signum, frame) -> None:
-    """First SIGTERM: finish the current slice.  Second: exit now —
-    the stores are kill-safe and the job stays resumable."""
-    global _drain_asked
-    _drain_asked += 1
-    if _drain_asked > 1:
-        os._exit(EXIT_RELEASED)
-
-
 def _write_json(path: Path, payload: dict, fs) -> None:
     write_atomic(path, json.dumps(payload, sort_keys=True) + "\n", fs)
 
@@ -297,94 +268,22 @@ def _grid_for(request: JobRequest, job_id: str):
         trials=request.trials)
 
 
-def _run_campaign_job(request: JobRequest, job_id: str, store_dir: Path) -> dict:
-    """Drain the campaign in slices; ``None`` return means released."""
-    from ..experiments.campaign import aggregate_payload, run_campaign
-
-    grid = _grid_for(request, job_id)
-    while True:
-        run = run_campaign(grid, store_dir, seed=request.seed, n_jobs=1,
-                           max_new_trials=TRIAL_SLICE, aggregate=False)
-        if run.remaining <= 0:
-            break
-        if _drain_asked:
-            return None
-    final = run_campaign(grid, store_dir, seed=request.seed, n_jobs=1,
-                         max_new_trials=0, aggregate=True)
-    return {"kind": request.kind, "total": final.total,
-            "aggregate": aggregate_payload(final.result)}
-
-
-def _run_explore_job(request: JobRequest, store_dir: Path) -> dict:
+def _source_for(request: JobRequest, job_id: str, fs):
+    """The fabric source one job drains over its own store."""
+    if request.kind != "explore":
+        return CampaignSource(_grid_for(request, job_id), seed=request.seed,
+                              fs=fs)
     from ..registry import REGISTRY
-    from ..statespace.explore import explore
-    from ..statespace.store import ExplorationStore, write_report
 
     spec = request.specs[0]
     n = request.n_values[0]
     game = REGISTRY.build("game", spec.game, spec.params_for("game"), n=n)
-    store = ExplorationStore(store_dir)
-    while True:
-        report = explore(game, n=n, moves=request.moves,
-                         agent_filter=request.agent_filter,
-                         max_states=request.max_states, store=store,
-                         max_expansions=EXPLORE_SLICE, game_name=spec.game)
-        if report.complete:
-            write_report(store, report)
-            return {"kind": "explore", **report.to_json()}
-        if report.truncated:
-            raise RuntimeError(
-                f"exploration truncated at max_states={request.max_states}")
-        if _drain_asked:
-            return None
-
-
-def job_worker_main(job_dir: str) -> int:
-    """Entry point of one job worker process."""
-    global _drain_asked
-    _drain_asked = 0
-    signal.signal(signal.SIGTERM, _worker_sigterm)
-    root = Path(job_dir)
-    # Forked workers inherit the parent's meter values; persist only the
-    # delta accrued in this process so fleet merges don't double-count.
-    entry_snapshot = obs_metrics.DEFAULT.snapshot()
-    try:
-        job = Job.from_json(json.loads((root / "job.json").read_text()))
-        request = parse_job_request(job.request)
-        store_dir = root / "store"
-        with obs_tracing.span("service.job", job=job.id, kind=request.kind):
-            if request.kind == "explore":
-                result = _run_explore_job(request, store_dir)
-            else:
-                result = _run_campaign_job(request, job.id, store_dir)
-        if result is None:
-            return EXIT_RELEASED
-        _write_json(root / "result.json", result, REAL_FS)
-        return EXIT_DONE
-    except BaseException as exc:  # noqa: BLE001 — worker must report, not die
-        if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-            return EXIT_RELEASED
-        try:
-            _write_json(root / "error.json", {
-                "error": "worker-error",
-                "detail": "".join(
-                    traceback.format_exception_only(type(exc), exc)).strip(),
-            }, REAL_FS)
-        except OSError:
-            pass
-        return EXIT_FAILED
-    finally:
-        try:
-            obs_metrics.write_snapshot_file(
-                root / "metrics.json",
-                snapshot=obs_metrics.diff_snapshots(
-                    obs_metrics.DEFAULT.snapshot(), entry_snapshot))
-        except OSError:
-            pass  # telemetry must never fail the worker
-
-
-def _worker_entry(job_dir: str) -> None:
-    sys.exit(job_worker_main(job_dir))
+    # one unit may expand the whole budget (a draining worker ends it at
+    # the next expansion); the next round's plan fails it if truncated
+    return ExplorationSource(
+        game, n=n, moves=request.moves, agent_filter=request.agent_filter,
+        max_states=request.max_states, shards=1,
+        unit_budget=request.max_states, game_name=spec.game, fs=fs)
 
 
 # --------------------------------------------------------------------------
@@ -394,12 +293,13 @@ def _worker_entry(job_dir: str) -> None:
 
 @dataclass
 class JobManager:
-    """Owns the job table and the worker pool.
+    """Owns the job table and schedules jobs onto fabric drains.
 
-    Runs inside the service's event loop (single-threaded — no locks);
-    workers are separate processes so cancel/drain can signal them and
-    a crash cannot corrupt the server.  ``workers=0`` disables
-    execution entirely (admission-only mode, used by the load bench).
+    Runs inside the service's event loop, which makes every job-state
+    change and file write; each running job is a ``Coordinator`` drain
+    (``drains[job_id]``) on a pool thread.  ``workers`` is how many jobs
+    drain at once; ``workers=0`` disables execution entirely
+    (admission-only mode, used by the load bench).
     """
 
     state_dir: Path
@@ -413,9 +313,13 @@ class JobManager:
         self.fs = resolve_fs(self.fs)
         self.jobs_dir = self.state_dir / "jobs"
         self.jobs: Dict[str, Job] = {}
-        self.procs: Dict[str, multiprocessing.Process] = {}
+        #: job id -> the coordinator draining it, while it runs
+        self.drains: Dict[str, Coordinator] = {}
+        self._tasks: Dict[str, asyncio.Future] = {}
+        #: job id -> worker respawns already counted as requeues
+        self._respawns: Dict[str, int] = {}
+        self._pool = ThreadPoolExecutor(max(1, self.workers), "drain")
         self._seq = 0
-        self._mp = multiprocessing.get_context()
 
     # -- persistence -------------------------------------------------------
     def job_dir(self, job_id: str) -> Path:
@@ -428,8 +332,9 @@ class JobManager:
         _write_json(self.job_dir(job.id) / "job.json", job.to_json(), self.fs)
 
     def recover(self) -> dict:
-        """Rebuild the job table from disk; orphaned ``running`` jobs
-        (their worker died with the old server) go back to ``queued``."""
+        """Rebuild the job table from disk.  Orphaned ``running`` jobs
+        go back to ``queued``, and unfinished jobs' leased units straight
+        back to pending: the next drain need not wait out a lease TTL."""
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         requeued = 0
         for path in sorted(self.jobs_dir.glob("*/job.json")):
@@ -437,6 +342,9 @@ class JobManager:
                 job = Job.from_json(json.loads(path.read_text()))
             except (OSError, ValueError, KeyError):
                 continue  # torn control record: job dir is inert, skip it
+            if job.state not in TERMINAL_STATES:
+                WorkQueue(self.store_dir(job.id), fs=self.fs).release_leases(
+                    "released on service restart")
             if job.state == "running":
                 job.state = "queued"
                 job.requeues += 1
@@ -466,14 +374,10 @@ class JobManager:
     def progress(self, job: Job) -> dict:
         """Cheap progress counters read straight off the job's store."""
         if job.kind == "explore":
-            from ..statespace.store import ExplorationStore
-
             status = ExplorationStore(self.store_dir(job.id)).status()
             return {"expanded": status["expanded"],
                     "discovered": status["discovered"],
                     "pending": status["pending"]}
-        from ..experiments.campaign import CampaignStore
-
         store = CampaignStore(self.store_dir(job.id))
         trials = int(job.request.get("trials", 1))
         total = (len(job.request.get("specs", ())) *
@@ -486,6 +390,38 @@ class JobManager:
 
     def result_path(self, job_id: str) -> Path:
         return self.job_dir(job_id) / "result.json"
+
+    def fsck(self, repair: bool = False) -> dict:
+        """Parse-check every whole-file JSON under ``jobs/`` and CRC-check
+        every job's record store; ``repair`` quarantines the damage.
+        The report has the store ``fsck`` shape, paths relative to the
+        state dir, a whole file counting as one record."""
+        report = {"files": [], "records_ok": 0, "foreign": 0,
+                  "damaged": [], "repaired": 0}
+        for path in sorted(self.jobs_dir.rglob("*.json")):
+            name = str(path.relative_to(self.state_dir))
+            report["files"].append(name)
+            if fsck_json(path, repair=repair, fs=self.fs):
+                report["damaged"].append(
+                    {"file": name, "line": None, "reason": "unparsable"})
+            else:
+                report["records_ok"] += 1
+        for store_dir in sorted(self.jobs_dir.glob("*/store")):
+            try:
+                store = open_store(store_dir, fs=self.fs)
+            except ValueError:
+                continue  # a damaged manifest, reported above
+            if store is None:
+                continue
+            found = store.fsck(repair=repair)
+            prefix = store_dir.relative_to(self.state_dir)
+            report["files"] += [str(prefix / f) for f in found["files"]]
+            report["records_ok"] += found["records_ok"]
+            report["foreign"] += found["foreign"]
+            report["damaged"] += [{**d, "file": str(prefix / d["file"])}
+                                  for d in found["damaged"]]
+        report["repaired"] = len(report["damaged"]) if repair else 0
+        return report
 
     # -- submission / cancel ----------------------------------------------
     def submit(self, payload: object, client: str,
@@ -511,21 +447,22 @@ class JobManager:
         return job
 
     def cancel(self, job_id: str) -> Job:
-        """Cancel a job; terminal jobs are returned unchanged."""
+        """Cancel a job; terminal jobs are returned unchanged.  A running
+        job's drain is stopped: its worker finishes the current unit."""
         job = self.jobs[job_id]
         if job.state in TERMINAL_STATES:
             return job
         job.state = "cancelled"
         self._persist(job)
         _JOB_CANCELLED.inc()
-        proc = self.procs.get(job_id)
-        if proc is not None and proc.is_alive():
-            proc.terminate()
+        if job_id in self.drains:
+            self.drains[job_id].stop()
         return job
 
     # -- scheduling --------------------------------------------------------
-    def _spawn_ready(self) -> None:
-        free = self.workers - len(self.procs)
+    def _start_ready(self) -> None:
+        """Move the oldest queued jobs into free drain slots."""
+        free = self.workers - len(self.drains)
         if free <= 0:
             return
         queued = sorted(
@@ -534,75 +471,96 @@ class JobManager:
         for job in queued[:free]:
             job.state = "running"
             self._persist(job)
-            proc = self._mp.Process(
-                target=_worker_entry, args=(str(self.job_dir(job.id)),),
-                daemon=True)
-            proc.start()
-            self.procs[job.id] = proc
+            self.drains[job.id] = Coordinator(
+                _source_for(parse_job_request(job.request), job.id, self.fs),
+                self.store_dir(job.id), workers=1, poll=self.poll_interval,
+                drain_grace=self.kill_grace, fs=self.fs)
+            self._respawns[job.id] = 0
+            self._tasks[job.id] = asyncio.ensure_future(self._drain(job))
             _JOB_STARTED.inc()
-        _JOBS_RUNNING.set(len(self.procs))
+        _JOBS_RUNNING.set(len(self.drains))
 
-    def _reap(self) -> None:
-        for job_id in list(self.procs):
-            proc = self.procs[job_id]
-            if proc.is_alive():
-                continue
-            del self.procs[job_id]
-            proc.join()
-            job = self.jobs[job_id]
-            if job.state == "cancelled":
-                continue
-            code = proc.exitcode
-            if code == EXIT_DONE and self.result_path(job_id).exists():
-                job.state = "done"
-                _JOB_DONE.inc()
-            elif code == EXIT_RELEASED or code in (-signal.SIGTERM,
-                                                   -signal.SIGKILL):
-                job.state = "queued"  # drained or killed: intact, re-runnable
-                job.requeues += 1
-                _JOB_REQUEUED.inc()
-            else:
-                job.state = "failed"
-                job.error = self._read_error(job_id, code)
-                _JOB_FAILED.inc()
-            self._persist(job)
-        _JOBS_RUNNING.set(len(self.procs))
+    def _count_respawns(self, job: Job) -> None:
+        """Count each worker the coordinator respawned as a requeue."""
+        new = self.drains[job.id].respawned - self._respawns[job.id]
+        self._respawns[job.id] += new
+        job.requeues += new  # persisted when the drain settles
+        _JOB_REQUEUED.inc(new)
 
-    def _read_error(self, job_id: str, code: Optional[int]) -> dict:
-        path = self.job_dir(job_id) / "error.json"
+    @staticmethod
+    def _run_drain(job: Job, coordinator: Coordinator):
+        """On a pool thread: the drain's report, or what it raised."""
         try:
-            return json.loads(path.read_text())
-        except (OSError, ValueError):
-            return {"error": "worker-exit",
-                    "detail": f"worker exited with code {code}"}
+            with obs_tracing.span("service.job", job=job.id, kind=job.kind):
+                return coordinator.drain(), None
+        except Exception as exc:  # noqa: BLE001 — the job fails, not us
+            return None, exc
+
+    async def _drain(self, job: Job) -> None:
+        """Run one job's drain on a pool thread, then settle its state."""
+        try:
+            report, exc = await asyncio.get_running_loop().run_in_executor(
+                self._pool, self._run_drain, job, self.drains[job.id])
+            self._count_respawns(job)
+            self._settle(job, report, exc)
+        finally:
+            del self.drains[job.id], self._respawns[job.id]
+            _JOBS_RUNNING.set(len(self.drains))
+
+    def _settle(self, job: Job, report, exc: Optional[Exception]) -> None:
+        """Turn a drain's outcome into the job's next state."""
+        if job.state == "cancelled":
+            return
+        if exc is None and report.complete:
+            if job.kind == "explore":
+                write_report(ExplorationStore(self.store_dir(job.id),
+                                              fs=self.fs), report.result)
+                result = {"kind": "explore", **report.result.to_json()}
+            else:
+                result = {"kind": job.kind,
+                          "total": parse_job_request(job.request).total_units,
+                          "aggregate": aggregate_payload(report.result)}
+            _write_json(self.result_path(job.id), result, self.fs)
+            job.state = "done"
+            _JOB_DONE.inc()
+        elif exc is None and report.interrupted:
+            job.state = "queued"  # drained: intact, resumable
+            job.requeues += 1
+            _JOB_REQUEUED.inc()
+        else:
+            if exc is not None:
+                detail = "".join(
+                    traceback.format_exception_only(type(exc), exc)).strip()
+            elif report.failed:
+                unit = report.failed[0]
+                detail = f"unit {unit['id']} failed: {unit.get('error')}"
+            else:
+                detail = "the drain ended with the job incomplete"
+            job.error = {"error": "worker-error", "detail": detail}
+            _write_json(self.job_dir(job.id) / "error.json", job.error,
+                        self.fs)
+            job.state = "failed"
+            _JOB_FAILED.inc()
+        self._persist(job)
 
     async def run(self, stop: asyncio.Event) -> None:
-        """The scheduler loop: spawn ready jobs, reap finished workers."""
+        """The scheduler loop: start queued jobs in free drain slots."""
         while not stop.is_set():
-            self._reap()
-            self._spawn_ready()
+            for job_id in list(self.drains):
+                self._count_respawns(self.jobs[job_id])
+            for job_id, task in list(self._tasks.items()):
+                if task.done():
+                    del self._tasks[job_id]
+                    task.result()  # a drain task's own death kills the loop
+            self._start_ready()
             try:
                 await asyncio.wait_for(stop.wait(), timeout=self.poll_interval)
             except asyncio.TimeoutError:
                 pass
 
     async def drain(self) -> None:
-        """PR 7 drain semantics: SIGTERM each worker (finish the slice),
-        escalate after ``kill_grace``, requeue whatever released."""
-        for proc in self.procs.values():
-            if proc.is_alive():
-                proc.terminate()
-        deadline = time.monotonic() + self.kill_grace
-        while self.procs and time.monotonic() < deadline:
-            self._reap()
-            if not self.procs:
-                break
-            await asyncio.sleep(self.poll_interval)
-        for proc in self.procs.values():  # stragglers: second TERM, then KILL
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=0.5)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=2.0)
-        self._reap()
+        """Service shutdown: stop every running drain (SIGTERM, then the
+        coordinator's own escalation) and requeue what it interrupted."""
+        for coordinator in list(self.drains.values()):
+            coordinator.stop()
+        await asyncio.gather(*self._tasks.values(), return_exceptions=True)

@@ -7,12 +7,13 @@ Three ways to run it::
     with ServiceThread(config) as svc:   # background thread (tests, bench,
         client = svc.client()            # quickstart) — own loop, own drain
 
-SIGTERM drains exactly like the fabric coordinator from PR 7: stop
-accepting submissions (503 + Retry-After), SIGTERM every worker so it
-finishes its current slice and releases, escalate after the grace
-period, requeue whatever released, persist the job table, exit 0.  A
-SIGKILL instead loses nothing either — restart on the same state dir
-and :meth:`~repro.service.jobs.JobManager.recover` resumes the table.
+SIGTERM drains like ``repro drain``: stop accepting submissions (503 +
+Retry-After), stop every running job's fabric coordinator (its worker
+finishes the current unit; after the grace period a second SIGTERM
+releases the lease and SIGKILL is the backstop), requeue what was
+interrupted, persist the job table, exit 0.  A SIGKILL instead loses
+nothing either — restart on the same state dir and
+:meth:`~repro.service.jobs.JobManager.recover` resumes the table.
 """
 
 from __future__ import annotations

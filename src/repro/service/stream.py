@@ -114,10 +114,8 @@ async def stream_job(
         seen_requeues = job.requeues
         while True:
             if job.requeues != seen_requeues:
-                # the worker died (or drained) mid-job and the manager put
-                # the job back in queue: tell the client it will resume,
-                # not that it ended.  The counter survives the instant
-                # queued -> running flip of the scheduler loop.
+                # the worker died mid-job (respawned) or the job was
+                # drained: tell the client it will resume, not that it ended
                 seen_requeues = job.requeues
                 _STREAM_RESUMED.inc()
                 try:

@@ -37,7 +37,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -624,6 +624,7 @@ def explore(
     max_expansions: Optional[int] = None,
     n_jobs: int = 1,
     game_name: Optional[str] = None,
+    stop: Optional[Callable[[], bool]] = None,
 ) -> ExplorationReport:
     """Explore the response graph of ``(game, moves, agent_filter)``.
 
@@ -656,6 +657,11 @@ def explore(
     n_jobs:
         worker processes per BFS layer (1 = serial in-process, keeping
         one warm memoized expander).
+    stop:
+        asked before each new expansion (each layer when ``n_jobs >
+        1``); once it returns true the invocation ends like a spent
+        ``max_expansions`` budget (what lets a draining fabric worker
+        leave a long unit promptly).
     """
     if (start is None) == (n is None):
         raise ValueError("pass exactly one of start= or n=")
@@ -734,7 +740,7 @@ def explore(
                 i for i in graph.pending()
                 if _shard_of(graph.keys[i], k_shard) == i_shard
             ]
-            if not pending or budget_hit:
+            if not pending or budget_hit or (stop is not None and stop()):
                 break
             _FRONTIER_DEPTH.set(len(pending))
             pending.sort(key=lambda i: graph.keys[i])
@@ -764,6 +770,9 @@ def explore(
                     # (state, agent) memo and backend caches warm across layers
                     results = []
                     for i in pending:
+                        if stop is not None and stop():
+                            budget_hit = True
+                            break
                         net = decode_state(graph.blobs[i])
                         rows: List[list] = []
                         succs: List[Tuple[str, str]] = []

@@ -27,7 +27,8 @@ from typing import Dict, List
 from ..durable import write_atomic
 from ..experiments.campaign import CampaignMismatch, CampaignStore
 
-__all__ = ["ExplorationStore", "STORE_VERSION", "CampaignMismatch"]
+__all__ = ["ExplorationStore", "STORE_VERSION", "CampaignMismatch",
+           "open_store"]
 
 STORE_VERSION = 1
 
@@ -80,6 +81,16 @@ class ExplorationStore(CampaignStore):
             "pending": len(pending),
             "complete": bool(expanded) and not pending,
         }
+
+
+def open_store(root, fs=None):
+    """The record store at ``root`` — exploration or campaign, as its
+    manifest says — or ``None`` when ``root`` holds no manifest."""
+    store = CampaignStore(root, fs=fs)
+    manifest = store.load_manifest()
+    if manifest is not None and manifest.get("kind") == "statespace":
+        return ExplorationStore(root, fs=fs)
+    return None if manifest is None else store
 
 
 def manifest_for(

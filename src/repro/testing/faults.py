@@ -15,8 +15,8 @@ rmtree — through the ``fs`` object its owner was constructed with:
 :class:`~repro.experiments.campaign.CampaignStore` (hence the
 exploration store and its ``report.json``),
 :mod:`repro.experiments.columnar`, the service
-:class:`~repro.service.jobs.JobManager`'s job table,
-:class:`~repro.obs.tracing.Tracer` and
+:class:`~repro.service.jobs.JobManager` (its job files, and the drain
+each job runs), :class:`~repro.obs.tracing.Tracer` and
 :func:`~repro.obs.metrics.write_snapshot_file`, all by way of
 :mod:`repro.durable`.  This module is the only one that renames files
 directly.  Production code gets :data:`REAL_FS` (zero overhead beyond

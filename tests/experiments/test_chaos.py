@@ -40,12 +40,13 @@ from repro.experiments.fabric import (
     WorkQueue,
     fleet_snapshot,
     metrics_dir,
+    worker_main,
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import Tracer, iter_trace, summarize_trace
-from repro.service.jobs import JobManager
+from repro.service.jobs import JobManager, _grid_for, parse_job_request
 from repro.testing.faults import Fault, FaultPlan, FaultyFS, InjectedCrash
-from tests.service.conftest import trial_payload
+from tests.service.conftest import drive, trial_payload
 
 TTL = 60.0  # reaped via explicit ``now=`` instants; wall time never waits
 
@@ -461,8 +462,8 @@ class TestSeamReach:
         manager.recover()
         job = manager.submit(trial_payload(), client="t")
         with pytest.raises(InjectedCrash):
-            manager._spawn_ready()
-        assert not manager.procs  # died before any worker started
+            manager._start_ready()
+        assert not manager.drains  # died before any drain started
         fresh = JobManager(tmp_path, workers=0)
         assert fresh.recover() == {"jobs": 1, "requeued": 0}
         assert fresh.jobs[job.id].state == "queued"
@@ -484,3 +485,87 @@ class TestSeamReach:
         assert len(list(path.parent.iterdir())) == 2
         assert fleet_snapshot(tmp_path) == before
         assert before["calls_total"]["values"]["{}"] == 3.0
+
+
+    def test_worker_snapshot_crash_on_replace_keeps_previous(self, tmp_path):
+        # the worker's exit snapshot goes through the fs it was handed
+        source = CampaignSource(spec=chaos_spec(), seed=0, unit_trials=2)
+        WorkQueue(tmp_path).initialize(source.plan(source.store(tmp_path), 0))
+        assert worker_main(source, tmp_path, "w0", install_signals=False) == 4
+        path = metrics_dir(tmp_path) / "w0.json"
+        before = obs_metrics.read_snapshot_file(path)
+        fs = FaultyFS(FaultPlan((Fault(op="replace", kind="crash",
+                                       path="metrics"),)))
+        with pytest.raises(InjectedCrash):
+            worker_main(source, tmp_path, "w0", fs=fs, install_signals=False)
+        assert fs.fired == [("crash", "replace", str(path))]
+        assert obs_metrics.read_snapshot_file(path) == before
+        # the crash left the written tmp file behind; the fleet fold skips it
+        assert len(list(path.parent.iterdir())) == 2
+        assert fleet_snapshot(tmp_path) == before
+
+
+# ---------------------------------------------------------------------------
+# service jobs — the manager dies at a replace, a fresh one recovers
+
+SERVICE_PAYLOAD = trial_payload(n=6, trials=10, seed=2)  # two 8-trial units
+
+
+def service_serial_payload(root, job_id: str) -> bytes:
+    """The aggregate a serial ``run_campaign`` of the job's grid yields."""
+    request = parse_job_request(SERVICE_PAYLOAD)
+    run = run_campaign(_grid_for(request, job_id), root, seed=request.seed,
+                       n_jobs=1)
+    return json.dumps(aggregate_payload(run.result), sort_keys=True).encode()
+
+
+def chaos_job(state_dir, fs: FaultyFS):
+    """Drive one trial job through a manager whose fs is ``fs``; on the
+    injected death, boot a fresh manager on the state dir, ``recover()``
+    and drive the job to done.  Returns ``(job id, aggregate bytes)``.
+
+    The plans target the files the manager process itself replaces:
+    ``job.json`` and the units the job's coordinator enqueues.  Queue
+    operations inside the forked worker count against the worker's own
+    copy of the plan, so they are covered by the in-process fabric
+    plans above instead.
+    """
+    manager = JobManager(state_dir, workers=1, poll_interval=0.01, fs=fs)
+    job_id = None
+    try:
+        manager.recover()
+        job_id = manager.submit(SERVICE_PAYLOAD, "chaos").id
+        drive(manager, lambda: manager.jobs[job_id].state == "done")
+    except InjectedCrash:
+        manager = JobManager(state_dir, workers=1, poll_interval=0.01)
+        manager.recover()
+        job_id = (job_id or next(iter(manager.jobs), None)
+                  or manager.submit(SERVICE_PAYLOAD, "chaos").id)
+        drive(manager, lambda: manager.jobs[job_id].state == "done")
+    result = json.loads(manager.result_path(job_id).read_text())
+    return job_id, json.dumps(result["aggregate"], sort_keys=True).encode()
+
+
+class TestServiceJobPlans:
+    """Crash the manager at every replace of the job table and of the
+    job's queue, on both sides of the replace: the recovered job must
+    finish with the serial aggregate, byte for byte."""
+
+    @pytest.mark.parametrize("target", ["job.json", "fabric/pending"])
+    @pytest.mark.parametrize("kind", ["crash", "crash_after"])
+    def test_service_job_survives_crash_at_every_replace(
+            self, tmp_path, target, kind):
+        fired = 0
+        for nth in range(20):
+            fs = FaultyFS(FaultPlan((Fault(op="replace", nth=nth, kind=kind,
+                                           path=target),)))
+            root = tmp_path / f"run{nth}"
+            job_id, payload = chaos_job(root / "state", fs)
+            assert payload == service_serial_payload(root / "serial", job_id), (
+                f"aggregate diverged under {fs.plan.describe()}")
+            if not fs.any_fired():
+                break  # nth beyond the replace count: swept every point
+            fired += 1
+        else:
+            pytest.fail("replace sweep never terminated")
+        assert fired >= 2

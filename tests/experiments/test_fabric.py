@@ -290,6 +290,34 @@ class TestCampaignDrain:
         assert result_payload(report.result) == serial_payload(
             tmp_path / "serial", spec)
 
+    def test_redrain_after_fsck_repair_recomputes_the_lost_trial(
+            self, tmp_path):
+        """The recovery path for a damaged record: ``fsck --repair``
+        quarantines it, and the next drain reopens the done unit that
+        held it and recomputes just that trial."""
+        spec = tiny_spec()
+        root = tmp_path / "c"
+        assert drain_campaign(spec, root, workers=1, unit_trials=3).complete
+        store = CampaignStore(root)
+        # bit-flip trial 1, the middle of the done block [0, 1, 2]
+        path, lines, i = next(
+            (f, lines, k) for f in store.record_files()
+            for lines in [f.read_text().splitlines()]
+            for k, line in enumerate(lines) if json.loads(line)["trial"] == 1)
+        rec = json.loads(lines[i])
+        rec["steps"] += 1  # body no longer matches its CRC
+        lines[i] = json.dumps(rec, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        assert store.fsck(repair=True)["repaired"] == 1
+
+        report = drain_campaign(spec, root, workers=1, unit_trials=3,
+                                max_rounds=5)
+        assert report.complete and report.rounds == 1
+        assert result_payload(report.result) == serial_payload(
+            tmp_path / "serial", spec)
+        trials = [(r["cell"], r["trial"]) for r in store.iter_all_records()]
+        assert len(trials) == len(set(trials)) == 2 * 6
+
     def test_drain_on_complete_store_plans_nothing(self, tmp_path):
         spec = tiny_spec()
         root = tmp_path / "c"
@@ -518,6 +546,24 @@ class TestExplorationDrain:
         assert source.finished(store)
         assert source.result(store).n_states == result["states"]
 
+    def test_truncated_drain_fails_in_the_round_that_truncates(self, tmp_path):
+        """The clipped successors stay pending forever, so the drain
+        can never finish: it must say so at once, not spin re-planning
+        until ``max_rounds``."""
+        from repro.core.games import AsymmetricSwapGame
+
+        source = ExplorationSource(AsymmetricSwapGame("sum"), n=4,
+                                   max_states=20, shards=1)
+        coord = Coordinator(source, tmp_path, workers=1, poll=0.01,
+                            max_rounds=40)
+        started = time.monotonic()
+        with pytest.raises(FabricError,
+                           match=r"truncated at max_states=20"):
+            coord.drain()
+        assert time.monotonic() - started < 5.0
+        assert coord.queue.counts() == {"pending": 0, "leased": 0,
+                                        "done": 1, "failed": 0}
+
 
 # ---------------------------------------------------------------------------
 # queue and source edge cases (races, torn files, protocol)
@@ -640,8 +686,6 @@ class _SuicideSource(_ExplodingSource):
 class _EndlessSource(_ExplodingSource):
     """Re-plans fresh units forever — exercises the round budget."""
 
-    multi_round = True
-
     def plan(self, store, round_index):
         return [{"id": f"r{round_index}"}]
 
@@ -652,8 +696,6 @@ class _EndlessSource(_ExplodingSource):
 class _LazySource(_ExplodingSource):
     """Offers one unit that is already done — exercises the re-offer
     fast path (enqueue nothing, run no fleet, move to the next round)."""
-
-    multi_round = True
 
     def finished(self, store):
         return True
@@ -764,7 +806,45 @@ class TestWorkerMain:
         assert unit.get("retries", 0) == 0 and "released" in unit["error"]
 
 
+@dataclass(frozen=True)
+class _DeafSource(CampaignSource):
+    """A unit that ignores SIGTERM and never finishes on its own."""
+
+    def execute(self, unit, store, worker):
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        time.sleep(60)
+
+
 class TestCoordinatorEdges:
+    def test_stopped_drain_kills_a_sigterm_deaf_worker(self, tmp_path):
+        """The SIGKILL backstop: a worker deaf to both SIGTERMs is
+        killed ``drain_grace`` after the second one, and its lease goes
+        straight back to pending — no TTL wait, no retry or crash
+        charged to the unit."""
+        coord = Coordinator(_DeafSource(tiny_spec(), unit_trials=6),
+                            tmp_path, workers=1, poll=0.01, drain_grace=0.2)
+        box = {}
+        thread = threading.Thread(
+            target=lambda: box.update(report=coord.drain()))
+        thread.start()
+        deadline = time.time() + 30.0
+        while not list(coord.queue.leased.glob("*.json")):
+            assert time.time() < deadline, "no worker took a lease"
+            time.sleep(0.01)
+        [victim] = coord.procs.values()
+        coord.stop()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert victim.exitcode == -signal.SIGKILL
+        report = box["report"]
+        assert report.interrupted and not report.complete
+        assert coord.queue.counts() == {"pending": 2, "leased": 0,
+                                        "done": 0, "failed": 0}
+        released = [WorkQueue._read(p) for p in coord.queue.pending.glob("*")]
+        [unit] = [u for u in released if "error" in u]
+        assert "killed on drain" in unit["error"]
+        assert unit["retries"] == 0 and "crashes" not in unit
+
     def test_drain_reports_exhausted_units(self, tmp_path):
         report = Coordinator(_ExplodingSource(), tmp_path, workers=1,
                              max_retries=0, poll=0.01).drain()

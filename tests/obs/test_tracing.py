@@ -2,6 +2,9 @@
 
 import json
 import os
+import signal
+import threading
+import time
 
 import pytest
 
@@ -138,6 +141,45 @@ class TestGlobalConfiguration:
         T.configure(None)
         (event,) = read_events(tmp_path / "t.jsonl")
         assert event["name"] == "step" and event["attrs"] == {"i": 1}
+
+    def test_fork_during_another_threads_append_leaves_child_a_free_lock(
+            self, tmp_path):
+        tracer = T.configure(tmp_path / "t.jsonl")
+        held = threading.Event()
+
+        def append_slowly():
+            with tracer._write_lock:
+                held.set()
+                time.sleep(0.3)
+
+        thread = threading.Thread(target=append_slowly)
+        thread.start()
+        held.wait()
+        pid = os.fork()
+        if pid == 0:  # the child: one span, then out without pytest
+            code = 1
+            try:
+                with T.span("child"):
+                    pass
+                tracer.close()
+                code = 0
+            finally:
+                os._exit(code)
+        thread.join()
+        deadline = time.monotonic() + 10.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung on the tracer's lock")
+            time.sleep(0.02)
+        assert os.waitstatus_to_exitcode(status) == 0
+        T.configure(None)
+        assert [e["name"] for e in read_events(tmp_path / "t.jsonl")] == [
+            "child"]
 
     def test_env_configuration_bootstraps_a_tracer(self, tmp_path,
                                                    monkeypatch):

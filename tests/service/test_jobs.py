@@ -2,21 +2,36 @@
 
 from __future__ import annotations
 
-import asyncio
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.campaign import CampaignStore
+from repro.experiments.fabric import (
+    DEFAULT_LEASE_TTL,
+    CampaignSource,
+    WorkQueue,
+)
+from repro.service.client import ServiceClient
 from repro.service.jobs import (
     JobManager,
     JobRejected,
+    _grid_for,
     parse_job_request,
 )
 from repro.service.quotas import QuotaPolicy
+from repro.registry import REGISTRY
+from repro.statespace.explore import explore
 
-from tests.service.conftest import SG_SPEC, trial_payload
+from tests.service.conftest import SG_SPEC, LoopRunner, drive, trial_payload
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestParseJobRequest:
@@ -63,30 +78,15 @@ class TestParseJobRequest:
         assert err.value.status == 422
 
 
-def drive(manager: JobManager, condition, timeout: float = 60.0):
-    """Run the scheduler loop until ``condition()`` or timeout."""
-
-    async def go():
-        stop = asyncio.Event()
-        task = asyncio.ensure_future(manager.run(stop))
-        try:
-            deadline = time.monotonic() + timeout
-            while not condition():
-                if time.monotonic() > deadline:
-                    raise TimeoutError("condition not reached")
-                await asyncio.sleep(0.02)
-        finally:
-            stop.set()
-            await task
-
-    asyncio.run(go())
+def record_lines_in(store_dir: Path):
+    lines = []
+    for path in sorted(store_dir.glob("*.jsonl")):
+        lines += [l for l in path.read_text().splitlines() if l]
+    return lines
 
 
 def record_lines(manager: JobManager, job_id: str):
-    lines = []
-    for path in sorted(manager.store_dir(job_id).glob("*.jsonl")):
-        lines += [l for l in path.read_text().splitlines() if l]
-    return lines
+    return record_lines_in(manager.store_dir(job_id))
 
 
 class TestManagerDurability:
@@ -143,63 +143,152 @@ class TestCancelMidRun:
         manager.recover()
         job = manager.submit(trial_payload(n=25, trials=200, seed=1),
                              client="t")
-        # wait until the worker has demonstrably started writing records
-        drive(manager, lambda: job.state == "running"
-              and len(record_lines(manager, job.id)) >= 1)
-        manager.cancel(job.id)
-        assert job.state == "cancelled"
-        drive(manager, lambda: not manager.procs, timeout=30)
+        runner = LoopRunner(manager)
+        try:
+            # wait until the worker has demonstrably started writing records
+            runner.until(lambda: job.state == "running"
+                         and len(record_lines(manager, job.id)) >= 1)
+            manager.cancel(job.id)
+            assert job.state == "cancelled"
+            runner.until(lambda: not manager.drains, timeout=30)
+        finally:
+            runner.close()
         done = len(record_lines(manager, job.id))
         assert done < 200  # it really stopped early
-        # cancel is terminal: the reaper must not resurrect the job
+        # cancel is terminal: settling the stopped drain must not
+        # resurrect the job
         assert job.state == "cancelled"
+        stored = json.loads((manager.job_dir(job.id) / "job.json").read_text())
+        assert stored["state"] == "cancelled"
+
+
+def start_server(state_dir: Path) -> subprocess.Popen:
+    """``repro serve`` in its own process group, like a real deployment."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
+         "--workers", "1", "--state-dir", str(state_dir)],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        start_new_session=True)
+    line = proc.stdout.readline()
+    assert "listening on" in line, line
+    proc.port = int(line.split(":")[1].split()[0])
+    return proc
 
 
 class TestKillRestartResume:
     """Mirrors the store kill-safety suites at the service level."""
 
-    def test_sigkilled_worker_resumes_with_zero_recompute(self, tmp_path):
-        manager = JobManager(tmp_path, workers=1)
-        manager.recover()
-        job = manager.submit(trial_payload(n=20, trials=60, seed=3),
-                             client="t")
-        drive(manager, lambda: job.state == "running"
-              and len(record_lines(manager, job.id)) >= 3)
-        # SIGKILL the worker *and* abandon the manager: the server dies
-        for proc in manager.procs.values():
-            proc.kill()
-            proc.join()
+    def test_sigkilled_server_resumes_with_zero_recompute(self, tmp_path):
+        server = start_server(tmp_path)
+        try:
+            client = ServiceClient("127.0.0.1", server.port)
+            job = client.submit(trial_payload(n=20, trials=60, seed=3))
+            store_dir = tmp_path / "jobs" / job["id"] / "store"
+            deadline = time.monotonic() + 60
+            while len(record_lines_in(store_dir)) < 3:
+                assert time.monotonic() < deadline, "no records within 60s"
+                time.sleep(0.02)
+        finally:
+            # the server, its drain thread and its worker die together
+            os.killpg(os.getpgid(server.pid), signal.SIGKILL)
+            server.wait()
 
         # a fresh server on the same state dir picks the job back up
         revived = JobManager(tmp_path, workers=1)
         counts = revived.recover()
         assert counts["requeued"] == 1
-        resumed = revived.get(job.id)
-        assert resumed.state == "queued"
-        before = record_lines(revived, job.id)
+        resumed = revived.get(job["id"])
+        assert resumed.state == "queued" and resumed.requeues == 1
+        before = record_lines(revived, job["id"])
         assert len(before) >= 3
 
-        drive(revived, lambda: revived.get(job.id).state == "done",
-              timeout=120)
-        after = record_lines(revived, job.id)
+        drive(revived, lambda: resumed.state == "done", timeout=120)
+        after = record_lines(revived, job["id"])
         # zero recomputation: every pre-kill record survives verbatim,
         # and no (cell, trial) was run twice
         assert after[:len(before)] == before
         assert len(after) == 60
-        store = CampaignStore(revived.store_dir(job.id))
+        store = CampaignStore(revived.store_dir(job["id"]))
         trials_seen = [r["trial"] for r in store.iter_all_records()]
         assert len(trials_seen) == len(set(trials_seen)) == 60
         assert revived.progress(resumed) == {"done": 60, "total": 60}
+
+    def test_recovered_job_resumes_without_a_lease_ttl(self, tmp_path):
+        """What a dead server leaves: the job ``running``, one unit
+        leased to a worker that will never beat again, part of its
+        trials stored.  Recovery hands the unit straight back."""
+        manager = JobManager(tmp_path, workers=0)
+        manager.recover()
+        job = manager.submit(trial_payload(n=8, trials=12, seed=4), "t")
+        request = parse_job_request(job.request)
+        source = CampaignSource(_grid_for(request, job.id), seed=request.seed)
+        store = source.store(manager.store_dir(job.id))
+        queue = WorkQueue(manager.store_dir(job.id))
+        queue.initialize(source.plan(store, 0))
+        lease = queue.claim("w0.0")
+        source.execute({**lease.unit, "trials": lease.unit["trials"][:3]},
+                       store, "w0.0")
+        job.state = "running"
+        manager._persist(job)
+
+        revived = JobManager(tmp_path, workers=1, poll_interval=0.01)
+        assert revived.recover() == {"jobs": 1, "requeued": 1}
+        assert queue.counts()["leased"] == 0  # no lease left to expire
+        started = time.monotonic()
+        resumed = revived.get(job.id)
+        drive(revived, lambda: resumed.state == "done",
+              timeout=DEFAULT_LEASE_TTL / 2)
+        assert time.monotonic() - started < DEFAULT_LEASE_TTL / 2
+        # the re-run unit skipped the three trials already stored
+        trials = [r["trial"] for r in store.iter_all_records()]
+        assert len(trials) == len(set(trials)) == 12
 
     def test_drain_requeues_running_job(self, tmp_path):
         manager = JobManager(tmp_path, workers=1, kill_grace=10.0)
         manager.recover()
         job = manager.submit(trial_payload(n=20, trials=300, seed=3),
                              client="t")
-        drive(manager, lambda: job.state == "running"
-              and len(record_lines(manager, job.id)) >= 1)
-        asyncio.run(manager.drain())
+        runner = LoopRunner(manager)
+        try:
+            runner.until(lambda: job.state == "running"
+                         and len(record_lines(manager, job.id)) >= 1)
+        finally:
+            runner.close()  # the service shutdown path: manager.drain()
         assert job.state in ("queued", "done")  # tiny jobs may just finish
-        assert not manager.procs
+        assert job.state == "done" or job.requeues == 1
+        assert not manager.drains
         stored = json.loads((manager.job_dir(job.id) / "job.json").read_text())
         assert stored["state"] == job.state
+        # the worker finished its unit and exited: nothing left leased
+        assert WorkQueue(manager.store_dir(job.id)).counts()["leased"] == 0
+
+    def test_drain_stops_a_running_exploration_at_an_expansion(
+            self, tmp_path):
+        """An explore job is one fabric unit.  The first SIGTERM must end
+        it at the next expansion, not after the whole exploration, and
+        the requeued job must resume to the same ``report.json``."""
+        game = REGISTRY.build("game", "sg", {"mode": "sum"}, n=5)
+        direct = explore(game, n=5, store=tmp_path / "direct",
+                         game_name="sg")
+        manager = JobManager(tmp_path / "state", workers=1, kill_grace=30.0,
+                             poll_interval=0.01)
+        manager.recover()
+        job = manager.submit({"kind": "explore", "spec": SG_SPEC, "n": 5},
+                             client="t")
+        queue = WorkQueue(manager.store_dir(job.id))
+        runner = LoopRunner(manager)
+        try:
+            runner.until(lambda: queue.counts()["leased"] == 1)
+        finally:
+            started = time.monotonic()
+            runner.close()
+        assert time.monotonic() - started < manager.kill_grace / 3
+        assert job.state == "queued" and job.requeues == 1
+        assert queue.counts()["leased"] == 0
+        # it stopped mid-exploration rather than finishing the unit
+        assert manager.progress(job)["expanded"] < direct.n_states
+
+        drive(manager, lambda: job.state == "done", timeout=120)
+        report = manager.store_dir(job.id) / "report.json"
+        assert report.read_bytes() == direct.json_bytes()

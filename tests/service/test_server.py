@@ -19,7 +19,7 @@ import pytest
 
 from repro.service.api import ServiceApi
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobs import JobManager, job_worker_main
+from repro.service.jobs import JobManager
 from repro.service.protocol import HTTPRequest, ProtocolError
 from repro.service.quotas import QuotaPolicy
 from repro.service.server import (
@@ -30,7 +30,7 @@ from repro.service.server import (
 )
 from repro.service.stream import RecordTail, stream_job
 
-from tests.service.conftest import trial_payload
+from tests.service.conftest import drive, trial_payload
 
 
 def raw_exchange(host: str, port: int, data: bytes) -> bytes:
@@ -55,6 +55,11 @@ def parse_response(raw: bytes):
         name, _, value = line.partition(b":")
         headers[name.strip().decode().lower()] = value.strip().decode()
     return status, headers, json.loads(body) if body else None
+
+
+def parse_response_raw(raw: bytes):
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), head, body.decode("utf-8")
 
 
 def make_request(method: str, path: str, headers=None,
@@ -189,6 +194,22 @@ class TestApiBranches:
             status, _, _ = parse_response(api.dispatch(make_request(method, path)))
             assert status == want, (method, path)
 
+    def test_metrics_fold_each_jobs_fleet_snapshot(self, api):
+        from repro.experiments.fabric import metrics_dir
+        from repro.obs import metrics as obs_metrics
+
+        job = api.manager.submit(trial_payload(), "c")
+        meter = obs_metrics.Meter(enabled=True)
+        meter.counter("repro_job_worker_probe_total", "a drain worker's").inc(3)
+        obs_metrics.write_snapshot_file(
+            metrics_dir(api.manager.store_dir(job.id)) / "w0.0.json", meter)
+        (metrics_dir(api.manager.store_dir(job.id)) / "torn.json").write_text(
+            "{half")  # a foreign or torn file must not 500 the page
+        status, headers, body = parse_response_raw(
+            api.dispatch(make_request("GET", "/metrics")))
+        assert status == 200
+        assert "repro_job_worker_probe_total 3" in body
+
     def test_draining_submissions_bounce_503(self, api):
         api.draining = True
         status, headers, body = parse_response(api.dispatch(make_request(
@@ -299,11 +320,11 @@ class _StubWS:
 class TestStreamEdges:
     @pytest.fixture
     def done_job(self, tmp_path):
-        manager = JobManager(tmp_path / "state", workers=0)
+        manager = JobManager(tmp_path / "state", workers=1,
+                             poll_interval=0.01)
         manager.recover()
         job = manager.submit(trial_payload(n=6, trials=2), "c")
-        assert job_worker_main(str(manager.job_dir(job.id))) == 0
-        job.state = "done"
+        drive(manager, lambda: job.state == "done")
         return manager, job
 
     def test_send_failure_ends_the_stream(self, done_job):

@@ -253,14 +253,15 @@ class TestResumedEvent:
                 # kill only once the worker is mid-job (records on disk)
                 await wait_for(lambda: job.state == "running" and len(
                     store_lines(manager.store_dir(job.id))) >= 3)
-                for proc in manager.procs.values():
+                for proc in list(manager.drains[job.id].procs.values()):
                     proc.kill()
-                # the scheduler requeues and respawns; the job completes
+                # the coordinator requeues and respawns; the job completes
                 await wait_for(lambda: job.state == "done", timeout=120)
                 await asyncio.wait_for(stream, timeout=30)
             finally:
                 stop.set()
                 await scheduler
+                await manager.drain()
             return job.requeues, harness.messages()
 
         requeues, (records, events, closed) = asyncio.run(go())

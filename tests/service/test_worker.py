@@ -1,38 +1,32 @@
-"""The worker entry points, run in-process.
+"""Service jobs as fabric drains, seen from the job directory.
 
-The real service runs :func:`job_worker_main` in a child process, which
-the coverage tracer cannot follow — these tests call the same entry
-points directly so the slice loops, the drain checks, and the
-error-reporting paths are exercised (and traced) without a fork.
+A running job is one :class:`~repro.experiments.fabric.Coordinator`
+drain over the job's own store.  These tests drive the manager's
+scheduler to a terminal state and check what the drain leaves behind:
+``result.json`` bytes equal to a direct run, the named ``error.json``
+of a failed job, and the settle branches a drain report can take.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
-import multiprocessing
-import signal
 import time
 
 import pytest
 
-import repro.service.jobs as jobs_mod
+from repro.experiments.campaign import aggregate_payload, run_campaign
+from repro.experiments.fabric import DrainReport, FabricError
+from repro.registry import REGISTRY
 from repro.service.jobs import (
-    EXIT_DONE,
-    EXIT_FAILED,
-    EXIT_RELEASED,
     JobManager,
     JobRejected,
-    _run_campaign_job,
-    _run_explore_job,
-    _worker_entry,
-    _worker_sigterm,
-    job_worker_main,
+    _grid_for,
     parse_job_request,
 )
 from repro.service.quotas import QuotaPolicy
+from repro.statespace.explore import explore
 
-from tests.service.conftest import SG_SPEC, trial_payload
+from tests.service.conftest import SG_SPEC, drive, trial_payload
 
 
 def explore_payload(n: int = 4, **extra) -> dict:
@@ -41,102 +35,107 @@ def explore_payload(n: int = 4, **extra) -> dict:
 
 @pytest.fixture
 def manager(tmp_path):
-    mgr = JobManager(tmp_path / "state", workers=0)
+    mgr = JobManager(tmp_path / "state", workers=1, poll_interval=0.01)
     mgr.recover()
     return mgr
 
 
-@pytest.fixture(autouse=True)
-def _reset_drain_flag():
-    """The drain flag is worker-process state; never leak it across tests."""
-    jobs_mod._drain_asked = 0
-    yield
-    jobs_mod._drain_asked = 0
+def run_to(manager, job, state, timeout=60.0):
+    drive(manager, lambda: job.state in ("done", "failed", "cancelled"),
+          timeout=timeout)
+    assert job.state == state, job.error
 
 
-class TestWorkerMain:
-    def test_trial_job_runs_to_done(self, manager):
-        job = manager.submit(trial_payload(n=6, trials=2), "w")
-        assert job_worker_main(str(manager.job_dir(job.id))) == EXIT_DONE
-        result = json.loads(manager.result_path(job.id).read_text())
-        assert result["kind"] == "trial"
-        assert result["total"] == 2
-        assert result["aggregate"]
-        # the per-job store now answers the manager's progress query
-        assert manager.progress(job) == {"done": 2, "total": 2}
+class TestJobDrains:
+    def test_trial_result_bytes_match_a_direct_run(self, manager, tmp_path):
+        payload = trial_payload(n=6, trials=10)
+        job = manager.submit(payload, "w")
+        run_to(manager, job, "done")
+        # what the slice-loop worker wrote: the direct run's aggregate
+        request = parse_job_request(payload)
+        direct = run_campaign(_grid_for(request, job.id), tmp_path / "direct",
+                              seed=request.seed, n_jobs=1)
+        expected = json.dumps({"kind": "trial", "total": 10,
+                               "aggregate": aggregate_payload(direct.result)},
+                              sort_keys=True) + "\n"
+        assert manager.result_path(job.id).read_text() == expected
+        assert manager.progress(job) == {"done": 10, "total": 10}
+        # one drain, one worker, nothing requeued
+        assert job.requeues == 0 and not manager.drains
 
-    def test_explore_job_runs_to_done(self, manager):
+    def test_explore_result_matches_a_direct_explore(self, manager, tmp_path):
         job = manager.submit(explore_payload(n=4), "w")
-        assert job_worker_main(str(manager.job_dir(job.id))) == EXIT_DONE
+        run_to(manager, job, "done")
+        game = REGISTRY.build("game", "sg", {"mode": "sum"}, n=4)
+        direct = explore(game, n=4, store=tmp_path / "direct", game_name="sg")
         result = json.loads(manager.result_path(job.id).read_text())
-        assert result["kind"] == "explore"
+        assert result == {"kind": "explore", **direct.to_json()}
+        report = manager.store_dir(job.id) / "report.json"
+        assert report.read_bytes() == direct.json_bytes()
         progress = manager.progress(job)
         assert progress["expanded"] > 0 and progress["pending"] == 0
 
-    def test_truncated_explore_fails_with_named_error(self, manager):
+    def test_truncated_explore_fails_fast_with_named_error(self, manager):
         job = manager.submit(explore_payload(n=4, max_states=10), "w")
-        assert job_worker_main(str(manager.job_dir(job.id))) == EXIT_FAILED
-        error = json.loads((manager.job_dir(job.id) / "error.json").read_text())
+        started = time.monotonic()
+        run_to(manager, job, "failed")
+        assert time.monotonic() - started < 30.0
+        error = json.loads(
+            (manager.job_dir(job.id) / "error.json").read_text())
+        assert error == job.error
         assert error["error"] == "worker-error"
         assert "truncated" in error["detail"]
-
-    def test_torn_control_record_fails_cleanly(self, tmp_path):
-        job_dir = tmp_path / "job-torn"
-        job_dir.mkdir()
-        (job_dir / "job.json").write_text("{not json")
-        assert job_worker_main(str(job_dir)) == EXIT_FAILED
-        assert (job_dir / "error.json").exists()
-
-    def test_released_run_exits_with_release_code(self, manager, monkeypatch):
-        job = manager.submit(trial_payload(), "w")
-        monkeypatch.setattr(jobs_mod, "_run_campaign_job",
-                            lambda *a, **kw: None)
-        assert job_worker_main(str(manager.job_dir(job.id))) == EXIT_RELEASED
+        assert "max_states=10" in error["detail"]
         assert not manager.result_path(job.id).exists()
 
-    def test_keyboard_interrupt_releases_not_fails(self, manager, monkeypatch):
+
+def settled(manager, report=None, exc=None):
+    """Settle one running job with a hand-made drain outcome."""
+    job = manager.submit(trial_payload(), "w")
+    job.state = "running"
+    manager._settle(job, report, exc)
+    return job
+
+
+def partial(**extra) -> DrainReport:
+    fields = dict(rounds=1, units_done=0, units_failed=0, reassigned=0,
+                  respawned=0, workers=1, complete=False)
+    fields.update(extra)
+    return DrainReport(**fields)
+
+
+class TestSettle:
+    def test_drain_exception_is_a_named_worker_error(self, manager):
+        job = settled(manager, exc=FabricError("worker fleet died 50 times"))
+        assert job.state == "failed"
+        assert job.error["error"] == "worker-error"
+        assert "FabricError: worker fleet died" in job.error["detail"]
+
+    def test_failed_unit_names_the_unit_and_its_error(self, manager):
+        report = partial(units_failed=1, failed=[
+            {"id": "c-t0", "error": "ValueError: boom (attempt 4)"}])
+        job = settled(manager, report)
+        assert job.state == "failed"
+        assert job.error["detail"] == (
+            "unit c-t0 failed: ValueError: boom (attempt 4)")
+        stored = json.loads(
+            (manager.job_dir(job.id) / "job.json").read_text())
+        assert stored["state"] == "failed" and stored["error"] == job.error
+
+    def test_incomplete_drain_without_failures_fails(self, manager):
+        job = settled(manager, partial())
+        assert job.state == "failed"
+        assert "incomplete" in job.error["detail"]
+
+    def test_interrupted_drain_requeues(self, manager):
+        job = settled(manager, partial(interrupted=True))
+        assert job.state == "queued" and job.requeues == 1
+
+    def test_cancelled_job_stays_cancelled(self, manager):
         job = manager.submit(trial_payload(), "w")
-
-        def boom(*a, **kw):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(jobs_mod, "_run_campaign_job", boom)
-        assert job_worker_main(str(manager.job_dir(job.id))) == EXIT_RELEASED
-        assert not (manager.job_dir(job.id) / "error.json").exists()
-
-    def test_worker_entry_exits_with_worker_code(self, monkeypatch):
-        monkeypatch.setattr(jobs_mod, "job_worker_main", lambda d: 3)
-        with pytest.raises(SystemExit) as exc:
-            _worker_entry("ignored")
-        assert exc.value.code == 3
-
-    def test_first_sigterm_only_sets_the_drain_flag(self):
-        _worker_sigterm(signal.SIGTERM, None)
-        assert jobs_mod._drain_asked == 1
-
-
-class TestDrainChecks:
-    def test_campaign_slice_loop_releases_on_drain(self, manager, tmp_path):
-        # 12 trials > one 8-trial slice, so the loop re-checks the flag
-        request = parse_job_request(trial_payload(n=6, trials=12))
-        jobs_mod._drain_asked = 1
-        store = tmp_path / "drain-campaign"
-        assert _run_campaign_job(request, "job-x", store) is None
-        # the finished slice is durable: a fresh run resumes, not restarts
-        jobs_mod._drain_asked = 0
-        result = _run_campaign_job(request, "job-x", store)
-        assert result["total"] == 12
-
-    def test_explore_slice_loop_releases_on_drain(self, manager, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.setattr(jobs_mod, "EXPLORE_SLICE", 4)
-        request = parse_job_request(explore_payload(n=4))
-        jobs_mod._drain_asked = 1
-        store = tmp_path / "drain-explore"
-        assert _run_explore_job(request, store) is None
-        jobs_mod._drain_asked = 0
-        result = _run_explore_job(request, store)
-        assert result["kind"] == "explore"
+        manager.cancel(job.id)
+        manager._settle(job, partial(interrupted=True), None)
+        assert job.state == "cancelled" and job.requeues == 0
 
 
 class TestParseEdges:
@@ -184,36 +183,3 @@ class TestManagerEdges:
         recovered = fresh.recover()
         assert recovered == {"jobs": 1, "requeued": 0}
         assert set(fresh.jobs) == {good.id}
-
-    def test_read_error_without_error_file_names_the_exit(self, manager):
-        error = manager._read_error("job-gone", 7)
-        assert error["error"] == "worker-exit"
-        assert "7" in error["detail"]
-
-
-def _stubborn_worker(ready) -> None:
-    """A worker that ignores SIGTERM — drain must escalate to SIGKILL."""
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    ready.set()
-    time.sleep(60)
-
-
-class TestDrainEscalation:
-    def test_sigterm_deaf_worker_is_killed_and_requeued(self, tmp_path):
-        mgr = JobManager(tmp_path / "state", workers=1,
-                         poll_interval=0.01, kill_grace=0.1)
-        mgr.recover()
-        job = mgr.submit(trial_payload(), "w")
-        job.state = "running"
-        mgr._persist(job)
-        ready = multiprocessing.Event()
-        proc = mgr._mp.Process(target=_stubborn_worker, args=(ready,),
-                               daemon=True)
-        proc.start()
-        assert ready.wait(timeout=10.0)
-        mgr.procs[job.id] = proc
-        asyncio.run(mgr.drain())
-        assert not mgr.procs
-        assert not proc.is_alive()
-        # killed mid-run: the job is intact and goes back in the queue
-        assert mgr.jobs[job.id].state == "queued"

@@ -282,6 +282,43 @@ class TestFsck:
         assert main(["fsck", str(trace)]) == 0
         assert "no damage found" in capsys.readouterr().out
 
+    def test_fsck_reports_then_repairs_a_torn_job_table(self, capsys,
+                                                          tmp_path):
+        import json
+
+        from repro.service.jobs import JobManager
+        from tests.service.conftest import drive, trial_payload
+
+        state = tmp_path / "svc"
+        manager = JobManager(state, workers=1, poll_interval=0.01)
+        manager.recover()
+        job = manager.submit(trial_payload(n=6, trials=2), "cli")
+        drive(manager, lambda: job.state == "done")
+        control = manager.job_dir(job.id) / "job.json"
+        intact = control.read_text()
+        control.write_text(intact[:len(intact) // 2])  # torn by hand
+        capsys.readouterr()
+
+        assert main(["fsck", str(state)]) == 1
+        out = capsys.readouterr().out
+        assert f"jobs/{job.id}/job.json: unparsable" in out
+        assert "1 damaged files or lines" in out
+        # the job's record store and snapshots were checked too
+        assert f"jobs/{job.id}/store/trials-" in " ".join(
+            JobManager(state, workers=0).fsck()["files"])
+        assert "records ok" in out
+
+        assert main(["fsck", str(state), "--repair"]) == 0
+        assert "quarantined 1 files or lines" in capsys.readouterr().out
+        bad = manager.job_dir(job.id) / "corrupt" / "job.json.bad"
+        assert bad.read_text() == intact[:len(intact) // 2]
+        assert not control.exists()
+        assert JobManager(state, workers=0).recover()["jobs"] == 0
+
+        assert main(["fsck", str(state)]) == 0
+        assert "no damage found" in capsys.readouterr().out
+        assert json.loads(manager.result_path(job.id).read_text())["total"] == 2
+
     def test_fsck_exploration_store(self, capsys, tmp_path):
         assert main(["explore", "--game", "sg", "--n", "3",
                      "--results-dir", str(tmp_path)]) == 0
